@@ -53,26 +53,26 @@ class _LayerParams:
     FIELDS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
               "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
 
-    def __init__(self, rng, d, ff, identity_qk=False):
+    def __init__(self, normal, d, ff, identity_qk=False):
         self.ln1_g = _param(np.ones(d))
         self.ln1_b = _param(np.zeros(d))
         if identity_qk:
             self.wq = _param(np.eye(d))
             self.wk = _param(np.eye(d))
         else:
-            self.wq = _param(_xavier(rng, d, d))
-            self.wk = _param(_xavier(rng, d, d))
+            self.wq = _param(_xavier(normal, d, d))
+            self.wk = _param(_xavier(normal, d, d))
         self.bq = _param(np.zeros(d))
         self.bk = _param(np.zeros(d))
-        self.wv = _param(_xavier(rng, d, d))
+        self.wv = _param(_xavier(normal, d, d))
         self.bv = _param(np.zeros(d))
-        self.wo = _param(_xavier(rng, d, d))
+        self.wo = _param(_xavier(normal, d, d))
         self.bo = _param(np.zeros(d))
         self.ln2_g = _param(np.ones(d))
         self.ln2_b = _param(np.zeros(d))
-        self.w1 = _param(_xavier(rng, d, ff))
+        self.w1 = _param(_xavier(normal, d, ff))
         self.b1 = _param(np.zeros(ff))
-        self.w2 = _param(_xavier(rng, ff, d))
+        self.w2 = _param(_xavier(normal, ff, d))
         self.b2 = _param(np.zeros(d))
 
 
@@ -80,30 +80,38 @@ def _param(arr):
     return nm.Tensor(arr, requires_grad=True)
 
 
-def _xavier(rng, fan_in, fan_out):
-    return rng.normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
+def _xavier(normal, fan_in, fan_out):
+    return normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
+
+
+def _no_draw(_loc, _scale, size):
+    return np.empty(size)
 
 
 class EncoderModel:
-    """Trunk + head parameters; deterministic for a given (config, vocab_size)."""
+    """Trunk + head parameters; deterministic for a given (config, vocab_size).
 
-    def __init__(self, config, vocab_size):
+    random_init=False leaves the randomly drawn weights uninitialized; only
+    callers that overwrite every parameter (load_model, copy) pass it.
+    """
+
+    def __init__(self, config, vocab_size, random_init=True):
         self.config = config
         self.vocab_size = vocab_size
-        rng = np.random.default_rng(config.seed)
+        normal = np.random.default_rng(config.seed).normal if random_init else _no_draw
         d, ff = config.model_dim, config.ff_dim
         # embeddings at 1/sqrt(d) so token identity survives the first norm
-        self.tok_emb = _param(rng.normal(0, 1.0 / math.sqrt(d), (vocab_size, d)))
-        self.pos_emb = _param(rng.normal(0, 1.0 / math.sqrt(d), (config.max_len, d)))
-        self.blocks = [_LayerParams(rng, d, ff, identity_qk=(i == 0))
+        self.tok_emb = _param(normal(0, 1.0 / math.sqrt(d), (vocab_size, d)))
+        self.pos_emb = _param(normal(0, 1.0 / math.sqrt(d), (config.max_len, d)))
+        self.blocks = [_LayerParams(normal, d, ff, identity_qk=(i == 0))
                        for i in range(config.layers)]
         self.final_g = _param(np.ones(d))
         self.final_b = _param(np.zeros(d))
-        self.cls_w = _param(_xavier(rng, d, 2))
+        self.cls_w = _param(_xavier(normal, d, 2))
         self.cls_b = _param(np.zeros(2))
-        self.scorer_w1 = _param(_xavier(rng, d, d))
+        self.scorer_w1 = _param(_xavier(normal, d, d))
         self.scorer_b1 = _param(np.zeros(d))
-        self.scorer_w2 = _param(_xavier(rng, d, 1))
+        self.scorer_w2 = _param(_xavier(normal, d, 1))
         self.scorer_b2 = _param(np.zeros(1))
         self._dropout_rng = np.random.default_rng(config.seed + 1)
 
@@ -126,7 +134,7 @@ class EncoderModel:
 
     def copy(self):
         """Deep copy with independent parameter arrays and dropout stream."""
-        clone = EncoderModel(self.config, self.vocab_size)
+        clone = EncoderModel(self.config, self.vocab_size, random_init=False)
         for name, p in clone.named_parameters().items():
             p.data[...] = self.named_parameters()[name].data
         return clone
@@ -363,26 +371,79 @@ def save_model(model, path):
             fh.write(arr.tobytes())
 
 
-def load_model(path):
-    with open(path, "rb") as fh:
-        if fh.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-            raise DataError(f"{path}: not an encoder checkpoint")
-        version, blob_len = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise DataError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        model = EncoderModel(EncoderConfig(**header["config"]), header["vocab_size"])
-        params = model.named_parameters()
-        (n_params,) = struct.unpack("<I", fh.read(4))
-        for _ in range(n_params):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-            arr = np.frombuffer(fh.read(8 * int(np.prod(shape))), dtype=np.float64)
-            if name not in params:
-                raise DataError(f"{path}: unknown parameter {name!r}")
-            if params[name].shape != tuple(shape):
-                raise DataError(f"{path}: shape mismatch for {name!r}")
-            params[name].data[...] = arr.reshape(shape)
+class _Cursor:
+    """Bounds-checked reads over a checkpoint held whole in memory."""
+
+    def __init__(self, buf):
+        self.buf, self.pos = memoryview(buf), 0
+
+    def take(self, n):
+        end = self.pos + n
+        if end > len(self.buf):
+            raise DataError("truncated")
+        chunk = self.buf[self.pos:end]
+        self.pos = end
+        return chunk
+
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self, n):
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError("bad UTF-8 text") from exc
+
+
+def _parse_checkpoint(buf):
+    cur = _Cursor(buf)
+    if cur.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+        raise DataError("not an encoder checkpoint")
+    version, blob_len = cur.unpack("<II")
+    if version != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint version {version}")
+    blob = cur.text(blob_len)
+    try:
+        header = json.loads(blob)
+        model = EncoderModel(EncoderConfig(**header["config"]), header["vocab_size"],
+                             random_init=False)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"bad header ({exc})") from exc
+    params = model.named_parameters()
+    (n_params,) = cur.unpack("<I")
+    seen = set()
+    for _ in range(n_params):
+        (name_len,) = cur.unpack("<I")
+        name = cur.text(name_len)
+        (ndim,) = cur.unpack("<I")
+        shape = cur.unpack(f"<{ndim}q")
+        if name not in params:
+            raise DataError(f"unknown parameter {name!r}")
+        if name in seen:
+            raise DataError(f"duplicate parameter {name!r}")
+        if params[name].shape != shape:
+            raise DataError(f"shape mismatch for {name!r}")
+        seen.add(name)
+        arr = np.frombuffer(cur.take(8 * params[name].size), dtype=np.float64)
+        params[name].data[...] = arr.reshape(shape)
+    missing = sorted(set(params) - seen)
+    if missing:
+        raise DataError(f"missing parameters {missing}")
+    if cur.pos != len(buf):
+        raise DataError(f"{len(buf) - cur.pos} trailing bytes")
     return model
+
+
+def load_model(path):
+    """Read a checkpoint in one read and parse it whole.
+
+    A truncated file, a missing, unknown or duplicate parameter, or bytes
+    past the last parameter raise DataError naming the file; no partly
+    loaded model is ever returned.
+    """
+    with open(path, "rb") as fh:
+        buf = fh.read()
+    try:
+        return _parse_checkpoint(buf)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc

@@ -118,6 +118,10 @@ class TrainConfig:
             raise DataError("shuffle augmentation only applies to parallel mode")
         if self.k < 0:
             raise DataError("k must be >= 0")
+        if self.epochs < 1:
+            raise DataError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.mode == "parallel" and self.k < 1:
             raise DataError("parallel mode needs k >= 1")
         if self.negative_ratio <= 0:

@@ -169,12 +169,17 @@ def _coerce(name, text):
             return False
         raise DataError(f"{name} expects a boolean, got {text!r}")
     if name == "early_stop":
-        return None if text.lower() == "none" else float(text)
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    return text
+        if text.lower() == "none":
+            return None
+        parse = float
+    elif isinstance(default, (int, float)):
+        parse = type(default)
+    else:
+        return text
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise DataError(f"{name} expects {parse.__name__}, got {text!r}") from exc
 
 
 def apply_overrides(cfg, overrides):

@@ -199,6 +199,36 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert np.array_equal(left[name].data, right[name].data), name
 
 
+MICRO = EncoderConfig(layers=1, heads=1, model_dim=2, ff_dim=2, max_len=3, dropout=0.0)
+
+
+def test_checkpoint_truncated_or_extended_raises_data_error(tmp_path):
+    path = tmp_path / "micro.ckpt"
+    save_model(EncoderModel(MICRO, 4), path)
+    blob = path.read_bytes()
+    for n in range(len(blob)):
+        path.write_bytes(blob[:n])
+        with pytest.raises(DataError, match="micro.ckpt"):
+            load_model(path)
+    path.write_bytes(blob + b"\0")
+    with pytest.raises(DataError, match="micro.ckpt.*trailing"):
+        load_model(path)
+    path.write_bytes(blob)
+    load_model(path)  # the intact file still loads
+
+
+def test_checkpoint_missing_parameter_raises_data_error(tmp_path, monkeypatch):
+    model = EncoderModel(MICRO, 4)
+    full = model.named_parameters()
+    monkeypatch.setattr(EncoderModel, "named_parameters", lambda self: {
+        name: p for name, p in full.items() if name != "cls_b"})
+    path = tmp_path / "partial.ckpt"
+    save_model(model, path)
+    monkeypatch.undo()
+    with pytest.raises(DataError, match="partial.ckpt.*cls_b"):
+        load_model(path)
+
+
 def test_parameter_count_depends_only_on_config():
     a = EncoderModel(TINY, 20)
     b = EncoderModel(EncoderConfig(layers=2, heads=2, model_dim=8, ff_dim=16,
@@ -210,5 +240,7 @@ def test_parameter_count_depends_only_on_config():
 def test_copy_is_deep():
     model = make_model()
     clone = model.copy()
+    for name, p in model.named_parameters().items():
+        assert np.array_equal(clone.named_parameters()[name].data, p.data), name
     clone.tok_emb.data[0, 0] += 1.0
     assert model.tok_emb.data[0, 0] != clone.tok_emb.data[0, 0]

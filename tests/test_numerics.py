@@ -1,6 +1,8 @@
 """Forward oracles and finite-difference gradient checks for every op."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -71,20 +73,42 @@ def test_layer_norm_values():
     out = nm.layer_norm(t(x), t(np.ones(16)), t(np.zeros(16)), eps=1e-5).data
     assert np.abs(out.mean(axis=-1)).max() < 1e-6
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-3
+    x = rng.normal(loc=3.0, scale=20.0, size=(5, 64))
+    want = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+    got = nm.layer_norm(t(x), t(np.ones(64)), t(np.zeros(64))).data
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def test_sigmoid_values():
     assert nm.sigmoid(t(0.0)).item() == 0.5
     assert nm.sigmoid(t(-50.0)).item() < 2e-22
     assert abs(nm.sigmoid(t(1.0)).item() - 0.731058) < 1e-5
+    zs = np.linspace(-30.0, 30.0, 601)
+    want = np.array([1.0 / (1.0 + math.exp(-z)) if z >= 0 else
+                     math.exp(z) / (1.0 + math.exp(z)) for z in zs])
+    got = nm.sigmoid(t(zs)).data
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    assert np.all(np.diff(got) >= 0.0)
+    assert np.abs(got + got[::-1] - 1.0).max() < 1e-15  # sigmoid(-z) = 1 - sigmoid(z)
+    assert abs(got[0] / math.exp(-30.0) - 1.0) < 1e-12  # lower tail keeps its digits
+    tails = nm.sigmoid(t([-700.0, -1e-300, 1e-300, 700.0])).data
+    assert np.all(np.isfinite(tails)) and tails[0] > 0.0 and tails[3] == 1.0
 
 
 def test_gelu_tanh_form():
-    xs = np.linspace(-4.0, 4.0, 33)
-    want = 0.5 * xs * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (xs + 0.044715 * xs**3)))
-    assert np.abs(nm.gelu(t(xs)).data - want).max() < 1e-12
+    xs = np.concatenate([np.linspace(-4.0, 4.0, 33), np.linspace(-30.0, 30.0, 241)])
+    c = np.sqrt(2.0 / np.pi)
+    tanh = np.tanh(c * (xs + 0.044715 * xs**3))
+    want = 0.5 * xs * (1.0 + tanh)
+    np.testing.assert_allclose(nm.gelu(t(xs)).data, want, rtol=1e-12, atol=1e-14)
     assert nm.gelu(t(0.0)).item() == 0.0
     assert abs(nm.gelu(t(10.0)).item() - 10.0) < 1e-9
+    x = t(xs, rg=True)
+    with ComputeGraph():
+        backward(nm.tsum(nm.gelu(x)))
+    dwant = (0.5 * (1.0 + tanh)
+             + 0.5 * xs * (1.0 - tanh**2) * c * (1.0 + 3 * 0.044715 * xs**2))
+    np.testing.assert_allclose(x.grad, dwant, rtol=1e-12, atol=1e-14)
 
 
 def test_log_floor_guard():
@@ -194,6 +218,29 @@ def test_no_tape_outside_graph():
     with ComputeGraph() as g:
         pass
     assert g.nodes == [] and y._graph is None
+
+
+def test_graph_frees_activations_without_gc():
+    # tensors reference their graph weakly, so the tape is no reference cycle
+    # and refcounting alone frees a step's activations
+    x = t(np.linspace(-1.0, 1.0, 12).reshape(3, 4), rg=True)
+    w = t(np.full((4, 5), 0.5), rg=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with ComputeGraph():
+            hidden = nm.gelu(nm.matmul(x, w))
+            probe = weakref.ref(hidden.data)
+            loss = nm.tsum(nm.softmax(hidden, axis=-1))
+            del hidden
+            backward(loss)
+            assert probe() is not None  # the tape keeps it for backward
+        del loss
+        assert probe() is None
+        assert x.grad is not None and w.grad is not None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

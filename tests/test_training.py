@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import entsel.numerics as nm
-from entsel.encoder import EncoderModel
+from entsel.encoder import (EncoderModel, classify_pairs_batch, encode_batch,
+                            score_options_batch)
 from entsel.errors import DataError, ShapeError
 from entsel.inference import ParadigmConfig, ScoredOption, example_averaged_prf
 from entsel.numerics import Tensor
@@ -104,6 +105,28 @@ def test_adam_skips_gradless_params():
     assert q.data[0] == 1.0 and p.data[0] != 1.0
 
 
+def test_adam_step_leaves_backward_grads_bitwise_untouched():
+    # backward stores first gradients uncopied, so one buffer may back several
+    # .grad fields; that is sound only while nothing updates a .grad in place
+    model = EncoderModel(TINY, 20)
+    ids = np.array([[2, 5, 6, 7, 3], [2, 8, 9, 10, 3]])
+    with nm.ComputeGraph():
+        reps = encode_batch(model, ids)
+        probs = classify_pairs_batch(model, reps, 2, 5)
+        scores = score_options_batch(model, reps, 2, 5, [(1, 2), (2, 4)])
+        nm.backward(nm.add(nm.tsum(nm.log(probs, floor=1e-12)), nm.tsum(scores)))
+    params = model.named_parameters()
+    grads = {name: p.grad.copy() for name, p in params.items()}
+    data = {name: p.data.copy() for name, p in params.items()}
+    opt = Adam(model.parameters(), lr=1e-2)
+    opt.step()
+    opt.step()
+    for name, p in params.items():
+        assert p.grad.shape == grads[name].shape, name
+        assert p.grad.tobytes() == grads[name].tobytes(), name
+    assert not np.array_equal(params["cls_w"].data, data["cls_w"])
+
+
 def test_adam_warmup_then_decay_schedule():
     opt = Adam([], lr=1.0, warmup_steps=10, total_steps=110, final_fraction=0.1)
     seen = []
@@ -183,6 +206,10 @@ def test_train_config_validation():
         TrainConfig(mode="te", augment=True)
     with pytest.raises(DataError):
         TrainConfig(mode="te", negative_ratio=0.0)
+    with pytest.raises(DataError, match="epochs"):
+        TrainConfig(mode="te", epochs=0)
+    with pytest.raises(DataError, match="batch_size"):
+        TrainConfig(mode="te", batch_size=0)
 
 
 def test_train_is_deterministic_per_seed(setup):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +156,9 @@ def test_run_config_load_and_overrides(tmp_path):
         datafiles.load_run_config(cfg_path, overrides=["no_such_key=1"])
     with pytest.raises(DataError):
         datafiles.load_run_config(cfg_path, overrides=["calibrate=maybe"])
+    for item in ("epochs=abc", "batch_size=1.5", "tau=high", "early_stop=soon"):
+        with pytest.raises(DataError, match=item.split("=")[0]):
+            datafiles.load_run_config(cfg_path, overrides=[item])
 
 
 def test_run_config_rejects_unknown_keys(tmp_path):
@@ -230,6 +235,24 @@ def test_cli_data_errors_exit_2(run_area, tmp_path):
     bad_cfg = make_config(tmp_path / "c.json", data_dir, tmp_path / "empty")
     assert cli.main(["eval", "--config", bad_cfg]) == 2  # no checkpoint yet
     assert cli.main(["report", "--run", str(tmp_path / "empty")]) == 2
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("override", ["epochs=abc", "learning_rate=fast", "early_stop=soon",
+                                      "epochs=0", "batch_size=0"])
+def test_cli_bad_config_value_exits_2_without_traceback(run_area, tmp_path, override):
+    _, data_dir, _, _ = run_area
+    cfg = make_config(tmp_path / "c.json", data_dir, tmp_path / "out")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [SRC_DIR] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-m", "entsel.workbench.cli", "train",
+                           "--config", cfg, "--set", override],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "data error" in proc.stderr and override.split("=")[0] in proc.stderr
 
 
 def test_cli_numeric_failures_exit_3(run_area, monkeypatch):
