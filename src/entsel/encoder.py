@@ -53,26 +53,26 @@ class _LayerParams:
     FIELDS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
               "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
 
-    def __init__(self, normal, d, ff, identity_qk=False):
+    def __init__(self, rng, d, ff, identity_qk=False):
         self.ln1_g = _param(np.ones(d))
         self.ln1_b = _param(np.zeros(d))
         if identity_qk:
             self.wq = _param(np.eye(d))
             self.wk = _param(np.eye(d))
         else:
-            self.wq = _param(_xavier(normal, d, d))
-            self.wk = _param(_xavier(normal, d, d))
+            self.wq = _param(_xavier(rng, d, d))
+            self.wk = _param(_xavier(rng, d, d))
         self.bq = _param(np.zeros(d))
         self.bk = _param(np.zeros(d))
-        self.wv = _param(_xavier(normal, d, d))
+        self.wv = _param(_xavier(rng, d, d))
         self.bv = _param(np.zeros(d))
-        self.wo = _param(_xavier(normal, d, d))
+        self.wo = _param(_xavier(rng, d, d))
         self.bo = _param(np.zeros(d))
         self.ln2_g = _param(np.ones(d))
         self.ln2_b = _param(np.zeros(d))
-        self.w1 = _param(_xavier(normal, d, ff))
+        self.w1 = _param(_xavier(rng, d, ff))
         self.b1 = _param(np.zeros(ff))
-        self.w2 = _param(_xavier(normal, ff, d))
+        self.w2 = _param(_xavier(rng, ff, d))
         self.b2 = _param(np.zeros(d))
 
 
@@ -80,38 +80,30 @@ def _param(arr):
     return nm.Tensor(arr, requires_grad=True)
 
 
-def _xavier(normal, fan_in, fan_out):
-    return normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
-
-
-def _no_draw(_loc, _scale, size):
-    return np.empty(size)
+def _xavier(rng, fan_in, fan_out):
+    return rng.normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
 
 
 class EncoderModel:
-    """Trunk + head parameters; deterministic for a given (config, vocab_size).
+    """Trunk + head parameters; deterministic for a given (config, vocab_size)."""
 
-    random_init=False leaves the randomly drawn weights uninitialized; only
-    callers that overwrite every parameter (load_model, copy) pass it.
-    """
-
-    def __init__(self, config, vocab_size, random_init=True):
+    def __init__(self, config, vocab_size):
         self.config = config
         self.vocab_size = vocab_size
-        normal = np.random.default_rng(config.seed).normal if random_init else _no_draw
+        rng = np.random.default_rng(config.seed)
         d, ff = config.model_dim, config.ff_dim
         # embeddings at 1/sqrt(d) so token identity survives the first norm
-        self.tok_emb = _param(normal(0, 1.0 / math.sqrt(d), (vocab_size, d)))
-        self.pos_emb = _param(normal(0, 1.0 / math.sqrt(d), (config.max_len, d)))
-        self.blocks = [_LayerParams(normal, d, ff, identity_qk=(i == 0))
+        self.tok_emb = _param(rng.normal(0, 1.0 / math.sqrt(d), (vocab_size, d)))
+        self.pos_emb = _param(rng.normal(0, 1.0 / math.sqrt(d), (config.max_len, d)))
+        self.blocks = [_LayerParams(rng, d, ff, identity_qk=(i == 0))
                        for i in range(config.layers)]
         self.final_g = _param(np.ones(d))
         self.final_b = _param(np.zeros(d))
-        self.cls_w = _param(_xavier(normal, d, 2))
+        self.cls_w = _param(_xavier(rng, d, 2))
         self.cls_b = _param(np.zeros(2))
-        self.scorer_w1 = _param(_xavier(normal, d, d))
+        self.scorer_w1 = _param(_xavier(rng, d, d))
         self.scorer_b1 = _param(np.zeros(d))
-        self.scorer_w2 = _param(_xavier(normal, d, 1))
+        self.scorer_w2 = _param(_xavier(rng, d, 1))
         self.scorer_b2 = _param(np.zeros(1))
         self._dropout_rng = np.random.default_rng(config.seed + 1)
 
@@ -134,7 +126,7 @@ class EncoderModel:
 
     def copy(self):
         """Deep copy with independent parameter arrays and dropout stream."""
-        clone = EncoderModel(self.config, self.vocab_size, random_init=False)
+        clone = EncoderModel(self.config, self.vocab_size)
         for name, p in clone.named_parameters().items():
             p.data[...] = self.named_parameters()[name].data
         return clone
@@ -405,8 +397,7 @@ def _parse_checkpoint(buf):
     blob = cur.text(blob_len)
     try:
         header = json.loads(blob)
-        model = EncoderModel(EncoderConfig(**header["config"]), header["vocab_size"],
-                             random_init=False)
+        model = EncoderModel(EncoderConfig(**header["config"]), header["vocab_size"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad header ({exc})") from exc
     params = model.named_parameters()

@@ -100,7 +100,10 @@ def test_gelu_tanh_form():
     c = np.sqrt(2.0 / np.pi)
     tanh = np.tanh(c * (xs + 0.044715 * xs**3))
     want = 0.5 * xs * (1.0 + tanh)
-    np.testing.assert_allclose(nm.gelu(t(xs)).data, want, rtol=1e-12, atol=1e-14)
+    tails = np.abs(xs) > 4.0
+    got = nm.gelu(t(xs)).data
+    assert np.abs(got - want).max() < 1e-12
+    np.testing.assert_allclose(got[tails], want[tails], rtol=1e-12, atol=0.0)
     assert nm.gelu(t(0.0)).item() == 0.0
     assert abs(nm.gelu(t(10.0)).item() - 10.0) < 1e-9
     x = t(xs, rg=True)
@@ -108,7 +111,8 @@ def test_gelu_tanh_form():
         backward(nm.tsum(nm.gelu(x)))
     dwant = (0.5 * (1.0 + tanh)
              + 0.5 * xs * (1.0 - tanh**2) * c * (1.0 + 3 * 0.044715 * xs**2))
-    np.testing.assert_allclose(x.grad, dwant, rtol=1e-12, atol=1e-14)
+    assert np.abs(x.grad - dwant).max() < 1e-12
+    np.testing.assert_allclose(x.grad[tails], dwant[tails], rtol=1e-12, atol=0.0)
 
 
 def test_log_floor_guard():
