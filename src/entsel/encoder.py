@@ -237,6 +237,7 @@ def bi_encode(model, ids, train_mode=False):
 # per-token, so results match the per-sequence functions exactly (dropout
 # draws aside). These exist because desk-scale matrices are overhead-bound:
 # one fused forward over a group is an order of magnitude faster than a loop.
+# fused_groups is the one policy that forms those groups.
 # ---------------------------------------------------------------------------
 
 
@@ -313,6 +314,23 @@ def score_options_batch(model, reps_flat, batch, seq_len, spans):
     return nm.sigmoid(nm.reshape(logits, (batch, k)))
 
 
+def fused_groups(id_lists, keys=None):
+    """Exact-shape groups of id sequences: [(positions, id_matrix)] in sorted key order.
+
+    Sequences sharing a key (default: their length) stack into one
+    [group x seq] matrix, so every key must imply one length; positions
+    index id_lists in input order. Layout only: callers run encode_batch
+    and their head on each group.
+    """
+    if keys is None:
+        keys = [len(ids) for ids in id_lists]
+    groups = {}
+    for pos, key in enumerate(keys):
+        groups.setdefault(key, []).append(pos)
+    return [(groups[key], np.array([id_lists[p] for p in groups[key]], dtype=np.int64))
+            for key in sorted(groups)]
+
+
 def bi_encode_rows(model, id_lists, train_mode=False):
     """bi_encode over many sequences, fused by length group.
 
@@ -321,18 +339,12 @@ def bi_encode_rows(model, id_lists, train_mode=False):
     if not id_lists:
         raise ShapeError("need at least one id sequence")
     d = model.config.model_dim
-    groups = {}
-    for pos, ids in enumerate(id_lists):
-        groups.setdefault(len(ids), []).append(pos)
     rows = [None] * len(id_lists)
-    for length in sorted(groups):
-        members = groups[length]
-        ids = np.array([id_lists[p] for p in members], dtype=np.int64)
+    for members, ids in fused_groups(id_lists):
+        batch, length = ids.shape
         reps = encode_batch(model, ids, train_mode=train_mode)
-        pool = np.full((len(members), 1, length), 1.0 / length)
-        pooled = nm.reshape(nm.matmul(nm.Tensor(pool),
-                                      nm.reshape(reps, (len(members), length, d))),
-                            (len(members), d))
+        pool = nm.Tensor(np.full((batch, 1, length), 1.0 / length))
+        pooled = nm.reshape(nm.matmul(pool, nm.reshape(reps, (batch, length, d))), (batch, d))
         for i, pos in enumerate(members):
             row = nm.reshape(nm.embedding(pooled, np.array([i])), (d,))
             rows[pos] = nm.l2_normalize(row)

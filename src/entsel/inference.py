@@ -1,4 +1,4 @@
-"""Option scoring, label selection, majority voting, and cost accounting.
+"""Option scoring, label selection, and cost accounting.
 
 Pairwise scoring runs one forward pass per option; parallel scoring chunks
 the option list and runs one pass per chunk, so its ledger shows ceil(n/k)
@@ -10,13 +10,10 @@ counts one pass per layout.
 import json
 import statistics
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
-from .encoder import classify_pairs_batch, encode_batch, score_options_batch
+from .encoder import classify_pairs_batch, encode_batch, fused_groups, score_options_batch
 from .errors import DataError
 from .pairing import chunk_options, make_parallel_pair, make_te_pair
 
@@ -60,15 +57,10 @@ class ParadigmConfig:
 
 def _entail_probs(model, layouts):
     """p(entail) per layout, computed in same-length fused groups."""
-    groups = {}
-    for pos, lay in enumerate(layouts):
-        groups.setdefault(len(lay.ids), []).append(pos)
     out = [0.0] * len(layouts)
-    for length in sorted(groups):
-        members = groups[length]
-        ids = np.array([layouts[p].ids for p in members], dtype=np.int64)
+    for members, ids in fused_groups([lay.ids for lay in layouts]):
         reps = encode_batch(model, ids, train_mode=False)
-        probs = classify_pairs_batch(model, reps, len(members), length)
+        probs = classify_pairs_batch(model, reps, *ids.shape)
         for row, pos in enumerate(members):
             out[pos] = float(probs.data[row, 0])
     return out
@@ -76,16 +68,11 @@ def _entail_probs(model, layouts):
 
 def _span_scores(model, layouts):
     """Per-option score rows for parallel layouts, fused by (length, spans)."""
-    groups = {}
-    for pos, lay in enumerate(layouts):
-        groups.setdefault((len(lay.ids), lay.option_spans), []).append(pos)
     out = [None] * len(layouts)
-    for key in sorted(groups):
-        length, spans = key
-        members = groups[key]
-        ids = np.array([layouts[p].ids for p in members], dtype=np.int64)
+    for members, ids in fused_groups([lay.ids for lay in layouts],
+                                     [(len(lay.ids), lay.option_spans) for lay in layouts]):
         reps = encode_batch(model, ids, train_mode=False)
-        smat = score_options_batch(model, reps, len(members), length, spans)
+        smat = score_options_batch(model, reps, *ids.shape, layouts[members[0]].option_spans)
         for row, pos in enumerate(members):
             out[pos] = smat.data[row]
     return out
@@ -142,33 +129,6 @@ def select_multi(scored, tau):
     return {so.index for so in scored if so.score > tau}
 
 
-def tally_votes(winners, mean_scores):
-    """Most-voted option; ties break to higher mean score, then smaller index."""
-    counts = Counter(winners)
-    return min(counts, key=lambda i: (-counts[i], -mean_scores[i], i))
-
-
-def majority_vote(model, instance, option_indices, k, rounds, rng, space, vocab):
-    """Parallel-score `rounds` shuffled orders of one option set and vote.
-
-    Each round's argmax casts one vote; the option set itself is fixed and
-    only its order is reshuffled.
-    """
-    if rounds < 1:
-        raise DataError("rounds must be >= 1")
-    base = list(option_indices)
-    winners = []
-    sums = {i: 0.0 for i in base}
-    for _ in range(rounds):
-        order = [base[j] for j in rng.permutation(len(base))]
-        scored, _ = score_parallel(model, instance, order, k, space, vocab)
-        winners.append(select_single(scored))
-        for so in scored:
-            sums[so.index] += so.score
-    means = {i: s / rounds for i, s in sums.items()}
-    return tally_votes(winners, means)
-
-
 def example_averaged_prf(predictions, golds):
     """Example-averaged precision/recall with F1 of the averaged P and R.
 
@@ -194,13 +154,16 @@ class EvalResult:
     ledger: CostLedger = field(default_factory=CostLedger)
 
 
-def _instance_options(instance, space, cfg):
-    if cfg.candidates is not None:
-        return list(cfg.candidates[instance.id])
+def option_pool(instance, space, candidates):
+    """The instance's retrieved candidate pool, or the whole option space."""
+    if candidates is not None:
+        return list(candidates[instance.id])
     return list(range(len(space)))
 
 
-def _score_instance(model, instance, options, cfg, space, vocab):
+def score_instance(model, instance, cfg, space, vocab):
+    """Score the instance's option pool the way cfg says; (scored, ledger)."""
+    options = option_pool(instance, space, cfg.candidates)
     if cfg.mode == "parallel":
         return score_parallel(model, instance, options, cfg.k, space, vocab)
     return score_pairwise(model, instance, options, cfg.mode, space, vocab)
@@ -213,8 +176,7 @@ def evaluate(model, instances, space, vocab, cfg, multi_label=False):
     correct = 0
     multi_preds, multi_golds = [], []
     for inst in instances:
-        options = _instance_options(inst, space, cfg)
-        scored, inst_ledger = _score_instance(model, inst, options, cfg, space, vocab)
+        scored, inst_ledger = score_instance(model, inst, cfg, space, vocab)
         ledger.merge(inst_ledger)
         gold = sorted(inst.gold)
         if multi_label:
@@ -260,31 +222,27 @@ class BenchRow:
 def bench(model, instances, space, vocab, configs, repetitions=3, warmup=2):
     """Time each paradigm config over the dataset; median of >=3 repetitions.
 
-    Forward-pass and token counts come from a single counted pass and are
-    exact; wall-clock excludes the warmup passes.
+    Forward-pass and token counts come from the first timed repetition's
+    ledgers and are exact; wall-clock excludes the warmup passes.
     """
     if repetitions < 3:
         raise DataError("bench needs at least 3 timed repetitions")
     rows = []
     for cfg in configs:
-        n_options = len(_instance_options(instances[0], space, cfg))
-        counted = CostLedger()
         for inst in instances[:max(1, warmup)]:
-            options = _instance_options(inst, space, cfg)
-            _score_instance(model, inst, options, cfg, space, vocab)
-        for inst in instances:
-            options = _instance_options(inst, space, cfg)
-            _, led = _score_instance(model, inst, options, cfg, space, vocab)
-            counted.merge(led)
+            score_instance(model, inst, cfg, space, vocab)
+        counted = CostLedger()
         times = []
-        for _ in range(repetitions):
+        for rep in range(repetitions):
             t0 = time.perf_counter()
             for inst in instances:
-                options = _instance_options(inst, space, cfg)
-                _score_instance(model, inst, options, cfg, space, vocab)
+                _, led = score_instance(model, inst, cfg, space, vocab)
+                if rep == 0:
+                    counted.merge(led)
             times.append(time.perf_counter() - t0)
         n_cases = len(instances)
-        rows.append(BenchRow(paradigm=cfg.mode, n=n_options,
+        rows.append(BenchRow(paradigm=cfg.mode,
+                             n=len(option_pool(instances[0], space, cfg.candidates)),
                              k=cfg.k if cfg.mode == "parallel" else 1,
                              passes_per_case=counted.forward_passes / n_cases,
                              tokens_per_case=counted.tokens_processed / n_cases,
@@ -293,9 +251,14 @@ def bench(model, instances, space, vocab, configs, repetitions=3, warmup=2):
     return rows
 
 
-def write_bench_csv(path, rows):
+def write_csv(path, header, rows):
+    """One comma-separated line for the header and for each row of cells."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("paradigm,n,k,passes,tokens,seconds_per_case\n")
-        for r in rows:
-            fh.write(f"{r.paradigm},{r.n},{r.k},{r.passes_per_case:g},"
-                     f"{r.tokens_per_case:g},{r.seconds_per_case:.6g}\n")
+        for cells in (header, *rows):
+            fh.write(",".join(map(str, cells)) + "\n")
+
+
+def write_bench_csv(path, rows):
+    write_csv(path, ("paradigm", "n", "k", "passes", "tokens", "seconds_per_case"),
+              [(r.paradigm, r.n, r.k, f"{r.passes_per_case:g}", f"{r.tokens_per_case:g}",
+                f"{r.seconds_per_case:.6g}") for r in rows])

@@ -45,11 +45,6 @@ class Tensor:
         self.grad = None
         self._graph = None  # weakref to the graph that recorded this tensor's op
 
-    @classmethod
-    def from_flat(cls, shape, values, requires_grad=False):
-        arr = np.asarray(values, dtype=np.float64).reshape(tuple(shape))
-        return cls(arr, requires_grad=requires_grad)
-
     @property
     def shape(self):
         return self.data.shape
@@ -61,11 +56,6 @@ class Tensor:
     @property
     def size(self):
         return self.data.size
-
-    @property
-    def values(self):
-        """Flat row-major view of the stored values."""
-        return self.data.reshape(-1)
 
     def item(self):
         return float(self.data.reshape(()))

@@ -79,18 +79,9 @@ def top_k(index, model, vocab, text, k):
     return [ScoredOption(int(i), float(scores[i])) for i in order]
 
 
-def _rank_prefix(index, queries, k):
-    # one lexsort per query row; ties break toward the smaller option index
-    n = len(index)
-    scores = queries @ index.matrix.T
-    return [[int(i) for i in np.lexsort((np.arange(n), -row))[:k]] for row in scores]
-
-
 def rank_all(index, model, vocab, instances):
     """Full option ranking per instance (one query embedding each)."""
-    queries = _embed_many(model, vocab, [inst.premise for inst in instances])
-    ranked = _rank_prefix(index, queries, len(index))
-    return {inst.id: order for inst, order in zip(instances, ranked)}
+    return retrieve_candidates(index, model, vocab, instances, len(index))
 
 
 def recall_from_rankings(rankings, instances, k):
@@ -114,8 +105,9 @@ def retrieve_candidates(index, model, vocab, instances, k):
     if not 1 <= k <= n:
         raise DataError(f"k must lie in [1, {n}], got {k}")
     queries = _embed_many(model, vocab, [inst.premise for inst in instances])
-    ranked = _rank_prefix(index, queries, k)
-    return {inst.id: order for inst, order in zip(instances, ranked)}
+    # one lexsort per query row; ties break toward the smaller option index
+    return {inst.id: [int(i) for i in np.lexsort((np.arange(n), -row))[:k]]
+            for inst, row in zip(instances, queries @ index.matrix.T)}
 
 
 def train_bi_encoder(model, dataset, space, vocab, epochs=3, batch_size=16,

@@ -1,4 +1,4 @@
-"""Losses, Adam, epoch loops for the three paradigms, and dev-set selection.
+"""Losses, Adam, epoch loops for the three paradigms, and threshold calibration.
 
 Training is deterministic given (config.seed, model seed): every random
 choice flows through one np.random.Generator in a fixed order. Context mode
@@ -13,10 +13,11 @@ import time
 import numpy as np
 
 from . import numerics as nm
-from .encoder import classify_pairs_batch, encode_batch, score_options_batch, save_model
+from .encoder import (classify_pairs_batch, encode_batch, fused_groups, save_model,
+                      score_options_batch)
 from .errors import DataError, NumericError, ShapeError
-from .inference import (ParadigmConfig, evaluate, example_averaged_prf,
-                        score_pairwise, score_parallel, select_multi)
+from .inference import (ParadigmConfig, evaluate, example_averaged_prf, option_pool,
+                        score_instance, write_csv)
 from .pairing import make_context_pair, make_parallel_pair, make_te_pair, shuffle_augment
 
 EPS = 1e-12
@@ -136,17 +137,11 @@ class TrainReport:
     checkpoint_path: str = None
 
 
-def _instance_pool(instance, space, candidates):
-    if candidates is not None:
-        return list(candidates[instance.id])
-    return list(range(len(space)))
-
-
 def _epoch_pairs(instances, space, config, candidates, rng):
     """(instance, option, label) triples: all golds plus sampled negatives."""
     examples = []
     for inst in instances:
-        pool = _instance_pool(inst, space, candidates)
+        pool = option_pool(inst, space, candidates)
         golds = sorted(inst.gold)
         neg_pool = [o for o in pool if o not in inst.gold]
         if not neg_pool:
@@ -168,7 +163,7 @@ def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
     """
     layouts = []
     for inst in instances:
-        pool = _instance_pool(inst, space, candidates)
+        pool = option_pool(inst, space, candidates)
         golds = sorted(inst.gold)
         if not golds:
             raise DataError(f"instance {inst.id!r} has no gold options")
@@ -197,22 +192,6 @@ def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
     return [layouts[int(i)] for i in order]
 
 
-def _count_epoch_examples(instances, space, config, candidates):
-    # mirrors the sampling arithmetic above without consuming the rng
-    total = 0
-    for inst in instances:
-        pool = _instance_pool(inst, space, candidates)
-        golds = len(inst.gold)
-        if config.mode == "parallel":
-            keep = min(golds, config.k)
-            n_opts = keep + min(config.k - keep, len([o for o in pool if o not in inst.gold]))
-            total += n_opts if config.augment else 1
-        else:
-            neg = len([o for o in pool if o not in inst.gold])
-            total += golds + min(neg, max(1, round(golds * config.negative_ratio)))
-    return total
-
-
 def _pair_layout(inst, option, config, pool, rng, space, vocab, max_len):
     if config.mode == "context" and config.k > 0:
         # competing contexts are non-gold rivals: a gold option showing up as
@@ -228,16 +207,11 @@ def _pair_layout(inst, option, config, pool, rng, space, vocab, max_len):
 
 def _pair_batch_loss(model, pairs):
     """Mean ce_loss over (layout, label) pairs, fused by sequence length."""
-    groups = {}
-    for lay, label in pairs:
-        groups.setdefault(len(lay.ids), []).append((lay, label))
     total = None
-    for length in sorted(groups):
-        members = groups[length]
-        ids = np.array([lay.ids for lay, _ in members], dtype=np.int64)
+    for members, ids in fused_groups([lay.ids for lay, _ in pairs]):
         reps = encode_batch(model, ids, train_mode=True)
-        probs = classify_pairs_batch(model, reps, len(members), length)
-        onehot = np.array([[1.0, 0.0] if lab else [0.0, 1.0] for _, lab in members])
+        probs = classify_pairs_batch(model, reps, *ids.shape)
+        onehot = np.array([[1.0, 0.0] if pairs[p][1] else [0.0, 1.0] for p in members])
         nll = nm.neg(nm.tsum(nm.mul(nm.log(probs, floor=EPS), nm.Tensor(onehot))))
         total = nll if total is None else nm.add(total, nll)
     return nm.mul_scalar(total, 1.0 / len(pairs))
@@ -245,17 +219,12 @@ def _pair_batch_loss(model, pairs):
 
 def _parallel_batch_loss(model, layouts):
     """Mean per-layout bce_loss, fused by (length, span structure)."""
-    groups = {}
-    for lay in layouts:
-        groups.setdefault((len(lay.ids), lay.option_spans), []).append(lay)
     total = None
-    for key in sorted(groups):
-        length, spans = key
-        members = groups[key]
-        ids = np.array([lay.ids for lay in members], dtype=np.int64)
+    for members, ids in fused_groups([lay.ids for lay in layouts],
+                                     [(len(lay.ids), lay.option_spans) for lay in layouts]):
         reps = encode_batch(model, ids, train_mode=True)
-        smat = score_options_batch(model, reps, len(members), length, spans)
-        labels = [lab for lay in members for lab in lay.labels]
+        smat = score_options_batch(model, reps, *ids.shape, layouts[members[0]].option_spans)
+        labels = [lab for p in members for lab in layouts[p].labels]
         gloss = nm.mul_scalar(bce_loss(nm.reshape(smat, (smat.size,)), labels),
                               len(members) / len(layouts))
         total = gloss if total is None else nm.add(total, gloss)
@@ -274,26 +243,32 @@ def train(model, dataset, space, vocab, config, dev=None, candidates=None,
         raise DataError("training dataset is empty")
     rng = np.random.default_rng(config.seed)
     max_len = model.config.max_len
-    per_epoch = _count_epoch_examples(dataset, space, config, candidates)
-    steps_per_epoch = math.ceil(per_epoch / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
+
+    def build_epoch():
+        if config.mode == "parallel":
+            return _epoch_parallel(dataset, space, config, candidates, rng, vocab, max_len)
+        return _epoch_pairs(dataset, space, config, candidates, rng)
+
+    # every epoch has epoch 0's size; Adam draws nothing from rng, so building
+    # epoch 0 first leaves the random stream as it was
+    t0 = time.perf_counter()
+    epoch_items = build_epoch()
+    total_steps = config.epochs * math.ceil(len(epoch_items) / config.batch_size)
     opt = Adam(model.parameters(), lr=config.learning_rate,
                warmup_steps=max(1, math.ceil(0.05 * total_steps)),
                total_steps=total_steps)
     losses, dev_metrics, epoch_seconds = [], [], []
-    for _epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        if config.mode == "parallel":
-            epoch_items = _epoch_parallel(dataset, space, config, candidates, rng, vocab, max_len)
-        else:
-            epoch_items = _epoch_pairs(dataset, space, config, candidates, rng)
+    for epoch in range(config.epochs):
+        if epoch:
+            t0 = time.perf_counter()
+            epoch_items = build_epoch()
         for start in range(0, len(epoch_items), config.batch_size):
             batch = epoch_items[start:start + config.batch_size]
             opt.zero_grad()
             if config.mode != "parallel":
                 # layout construction consumes the rng; keep it in batch order
                 batch = [(_pair_layout(inst, option, config,
-                                       _instance_pool(inst, space, candidates),
+                                       option_pool(inst, space, candidates),
                                        rng, space, vocab, max_len), label)
                          for inst, option, label in batch]
             with nm.ComputeGraph():
@@ -339,41 +314,15 @@ def calibrate_threshold(model, dev, space, vocab, mode, k=None, candidates=None)
     """Pick the multi-label threshold maximizing example-averaged F1 on dev."""
     if not dev:
         raise DataError("threshold calibration needs a nonempty dev set")
-    per_instance, golds = [], []
-    for inst in dev:
-        options = _instance_pool(inst, space, candidates)
-        if mode == "parallel":
-            scored, _ = score_parallel(model, inst, options, k, space, vocab)
-        else:
-            scored, _ = score_pairwise(model, inst, options, mode, space, vocab)
-        per_instance.append(scored)
-        golds.append(sorted(inst.gold))
-    tau, _ = scan_threshold(per_instance, golds)
+    cfg = ParadigmConfig(mode=mode, k=k, candidates=candidates)
+    per_instance = [score_instance(model, inst, cfg, space, vocab)[0] for inst in dev]
+    tau, _ = scan_threshold(per_instance, [sorted(inst.gold) for inst in dev])
     return tau
 
 
-def select_k(model_factory, dev, space, vocab, candidate_ks, multi_label=False):
-    """Evaluate model_factory(k) -> (model, ParadigmConfig) per k on dev.
-
-    Returns (best_k, curve) where curve lists (k, dev metric) in input
-    order; metric ties go to the smaller (cheaper) k.
-    """
-    if not candidate_ks:
-        raise DataError("candidate_ks must be nonempty")
-    curve = []
-    for k in candidate_ks:
-        model, cfg = model_factory(k)
-        res = evaluate(model, dev, space, vocab, cfg, multi_label=multi_label)
-        curve.append((k, res.metrics["f1" if multi_label else "accuracy"]))
-    best_k = max(curve, key=lambda kv: (kv[1], -kv[0]))[0]
-    return best_k, curve
-
-
 def write_loss_csv(path, report):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,loss\n")
-        for i, loss in enumerate(report.losses):
-            fh.write(f"{i},{loss:.10g}\n")
+    write_csv(path, ("step", "loss"),
+              [(i, f"{loss:.10g}") for i, loss in enumerate(report.losses)])
 
 
 def write_manifest(path, config, extra=None):

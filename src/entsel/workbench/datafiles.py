@@ -143,8 +143,25 @@ class RunConfig:
     bench_repetitions: int = 3
     bench_limit: int = 0  # cap on benchmarked instances; 0 = all
 
+    def __post_init__(self):
+        # the fields that never reach TrainConfig, which checks its own
+        for name, low in (("bi_epochs", 1), ("bi_batch_size", 2), ("bench_repetitions", 3),
+                          ("bench_limit", 0), ("retrieve_k", 0)):
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+
+def _check_type(name, value):
+    want = _FIELD_TYPES[name]
+    if name == "early_stop" and value is None:
+        return
+    if want is float and type(value) is int:
+        return
+    if type(value) is not want:  # exact: a bool is no int, an int no bool
+        raise DataError(f"{name} expects {want.__name__}, got {value!r}")
 
 
 def load_run_config(path, overrides=()):
@@ -153,16 +170,23 @@ def load_run_config(path, overrides=()):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: bad JSON ({exc})") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: a config must be a JSON object")
     unknown = set(raw) - set(_FIELD_TYPES)
     if unknown:
         raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
-    cfg = RunConfig(**raw)
+    try:
+        for name, value in raw.items():
+            _check_type(name, value)
+        cfg = RunConfig(**raw)
+    except (DataError, TypeError) as exc:  # TypeError: a required key is missing
+        raise DataError(f"{path}: {exc}") from exc
     return apply_overrides(cfg, overrides)
 
 
 def _coerce(name, text):
-    default = getattr(RunConfig("", ""), name)
-    if isinstance(default, bool):
+    want = _FIELD_TYPES[name]
+    if want is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
@@ -172,8 +196,8 @@ def _coerce(name, text):
         if text.lower() == "none":
             return None
         parse = float
-    elif isinstance(default, (int, float)):
-        parse = type(default)
+    elif want in (int, float):
+        parse = want
     else:
         return text
     try:

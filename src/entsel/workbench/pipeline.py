@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 from ..encoder import EncoderModel, load_model
 from ..errors import DataError
-from ..inference import ParadigmConfig, bench, evaluate, write_bench_csv, write_predictions
+from ..inference import (ParadigmConfig, bench, evaluate, write_bench_csv, write_csv,
+                         write_predictions)
 from ..retrieval import (build_index, rank_all, recall_from_rankings,
                          retrieve_candidates, save_index, train_bi_encoder)
 from ..training import calibrate_threshold, train, write_loss_csv, write_manifest
 from .datafiles import (encoder_config_from, read_bundle, train_config_from,
                         write_resolved_config)
+from .reports import _md_table
 
 
 def _progress(msg):
@@ -44,24 +46,29 @@ def _paradigm_config(cfg, mode, tau, candidates):
                           tau=tau, candidates=candidates)
 
 
-def build_retrieval(cfg, bundle, save_dir=None):
+def _fit_index(cfg, bundle):
     """Contrastively fit a bi-encoder (warm-started from the same init as the
-    cross model), index the space, and retrieve top-k pools for every split.
+    cross model) and index the space; returns (bi_model, index)."""
+    bi_model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
+    _progress(f"bi-encoder: {cfg.bi_epochs} epochs over {len(bundle.splits['train'])} instances")
+    train_bi_encoder(bi_model, bundle.splits["train"], bundle.space, bundle.vocab,
+                     epochs=cfg.bi_epochs, batch_size=cfg.bi_batch_size,
+                     lr=cfg.bi_learning_rate, temperature=cfg.temperature, seed=cfg.seed)
+    return bi_model, build_index(bi_model, bundle.space, bundle.vocab)
+
+
+def build_retrieval(cfg, bundle, save_dir=None):
+    """Fit the bi-encoder, index the space, and retrieve top-k pools for every split.
 
     Returns (index, candidates_by_split); (None, None) when retrieve_k == 0.
     """
     if cfg.retrieve_k <= 0:
         return None, None
-    space, vocab = bundle.space, bundle.vocab
-    if cfg.retrieve_k > len(space):
-        raise DataError(f"retrieve_k {cfg.retrieve_k} exceeds space size {len(space)}")
-    bi_model = EncoderModel(bundle.enc_cfg, len(vocab))
-    _progress(f"bi-encoder: {cfg.bi_epochs} epochs over {len(bundle.splits['train'])} instances")
-    train_bi_encoder(bi_model, bundle.splits["train"], space, vocab,
-                     epochs=cfg.bi_epochs, batch_size=cfg.bi_batch_size,
-                     lr=cfg.bi_learning_rate, temperature=cfg.temperature, seed=cfg.seed)
-    index = build_index(bi_model, space, vocab)
-    candidates = {split: retrieve_candidates(index, bi_model, vocab, insts, cfg.retrieve_k)
+    if cfg.retrieve_k > len(bundle.space):
+        raise DataError(f"retrieve_k {cfg.retrieve_k} exceeds space size {len(bundle.space)}")
+    bi_model, index = _fit_index(cfg, bundle)
+    candidates = {split: retrieve_candidates(index, bi_model, bundle.vocab, insts,
+                                             cfg.retrieve_k)
                   for split, insts in bundle.splits.items()}
     if save_dir is not None:
         save_index(os.path.join(save_dir, "index.bin"), index)
@@ -92,18 +99,10 @@ def retrieve_run(cfg):
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_resolved_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
     index, candidates = build_retrieval(cfg, bundle, save_dir=cfg.out_dir)
-    recall_path = os.path.join(cfg.out_dir, "recall.csv")
-    with open(recall_path, "w", encoding="utf-8") as fh:
-        fh.write("split,k,recall\n")
-        for split in ("dev", "test"):
-            insts = bundle.splits[split]
-            hits = total = 0
-            for inst in insts:
-                pool = set(candidates[split][inst.id])
-                for g in inst.gold:
-                    total += 1
-                    hits += int(g in pool)
-            fh.write(f"{split},{cfg.retrieve_k},{hits / total:.6f}\n")
+    recall = {split: recall_from_rankings(candidates[split], bundle.splits[split], cfg.retrieve_k)
+              for split in ("dev", "test")}
+    write_csv(os.path.join(cfg.out_dir, "recall.csv"), ("split", "k", "recall"),
+              [(split, cfg.retrieve_k, f"{r:.6f}") for split, r in recall.items()])
     return index, candidates
 
 
@@ -216,8 +215,7 @@ def run_ablation(cfg):
               candidates=_split_cands(row_cands, "train"))
         if cfg.multi_label:
             tau = calibrate_threshold(model, bundle.splits["dev"], bundle.space,
-                                      bundle.vocab, mode=mode,
-                                      k=cfg.k if mode == "parallel" else None,
+                                      bundle.vocab, mode=mode, k=cfg.k,
                                       candidates=_split_cands(row_cands, "dev"))
         else:
             tau = cfg.tau
@@ -237,21 +235,11 @@ def run_ablation(cfg):
 def _write_ablation(out_dir, rows, multi_label):
     metric_cols = ("precision", "recall", "f1") if multi_label else ("accuracy",)
     header = ("row", "paradigm", "pool", "passes_per_case") + metric_cols
-    with open(os.path.join(out_dir, "ablation.csv"), "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = [row["row"], row["paradigm"], row["pool"],
-                     f"{row['passes_per_case']:g}"]
-            cells += [f"{row[m]:.4f}" for m in metric_cols]
-            fh.write(",".join(cells) + "\n")
+    cells = [[row["row"], row["paradigm"], row["pool"], f"{row['passes_per_case']:g}"]
+             + [f"{row[m]:.4f}" for m in metric_cols] for row in rows]
+    write_csv(os.path.join(out_dir, "ablation.csv"), header, cells)
     with open(os.path.join(out_dir, "ablation.md"), "w", encoding="utf-8") as fh:
-        fh.write("| " + " | ".join(header) + " |\n")
-        fh.write("|" + "---|" * len(header) + "\n")
-        for row in rows:
-            cells = [row["row"], row["paradigm"], row["pool"],
-                     f"{row['passes_per_case']:g}"]
-            cells += [f"{row[m]:.4f}" for m in metric_cols]
-            fh.write("| " + " | ".join(cells) + " |\n")
+        fh.write(_md_table(header, cells))
 
 
 def run_k_sweep(cfg, ks):
@@ -271,11 +259,7 @@ def run_k_sweep(cfg, ks):
         raise DataError("sweep needs retrieve_k >= 1 to fit the bi-encoder")
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_resolved_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
-    bi_model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
-    train_bi_encoder(bi_model, bundle.splits["train"], bundle.space, bundle.vocab,
-                     epochs=cfg.bi_epochs, batch_size=cfg.bi_batch_size,
-                     lr=cfg.bi_learning_rate, temperature=cfg.temperature, seed=cfg.seed)
-    index = build_index(bi_model, bundle.space, bundle.vocab)
+    bi_model, index = _fit_index(cfg, bundle)
     train_rank = rank_all(index, bi_model, bundle.vocab, bundle.splits["train"])
     dev_rank = rank_all(index, bi_model, bundle.vocab, bundle.splits["dev"])
     model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
@@ -301,8 +285,6 @@ def run_k_sweep(cfg, ks):
         metric = res.metrics["f1" if cfg.multi_label else "accuracy"]
         rows.append((k, recall, metric))
         _progress(f"k={k} recall={recall:.4f} metric={metric:.4f}")
-    with open(os.path.join(cfg.out_dir, "sweep.csv"), "w", encoding="utf-8") as fh:
-        fh.write("k,recall,metric\n")
-        for k, recall, metric in rows:
-            fh.write(f"{k},{recall:.6f},{metric:.6f}\n")
+    write_csv(os.path.join(cfg.out_dir, "sweep.csv"), ("k", "recall", "metric"),
+              [(k, f"{recall:.6f}", f"{metric:.6f}") for k, recall, metric in rows])
     return rows

@@ -11,6 +11,7 @@ import os
 import numpy as np
 
 from ..errors import DataError
+from ..inference import write_csv
 
 
 def gaussian_smooth(values, sigma):
@@ -67,10 +68,8 @@ def render_report(run_dir, sigma_fraction=0.02):
     losses = np.array([float(r[1]) for r in loss_rows])
     sigma = sigma_fraction * len(losses)
     smoothed = gaussian_smooth(losses, sigma)
-    with open(os.path.join(run_dir, "loss_smoothed.csv"), "w", encoding="utf-8") as fh:
-        fh.write("step,loss,smoothed\n")
-        for s, raw, sm in zip(steps, losses, smoothed):
-            fh.write(f"{s},{raw:.10g},{sm:.10g}\n")
+    write_csv(os.path.join(run_dir, "loss_smoothed.csv"), ("step", "loss", "smoothed"),
+              [(s, f"{raw:.10g}", f"{sm:.10g}") for s, raw, sm in zip(steps, losses, smoothed)])
     with open(metrics_path, encoding="utf-8") as fh:
         metrics = json.load(fh)
 

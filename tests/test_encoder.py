@@ -6,7 +6,7 @@ import pytest
 from entsel.encoder import (EncoderConfig, EncoderModel, bi_encode,
                             bi_encode_rows, classify_pair,
                             classify_pairs_batch, cls_vector, encode_batch,
-                            encode_tokens, load_model, save_model,
+                            encode_tokens, fused_groups, load_model, save_model,
                             score_options, score_options_batch, span_mean_pool)
 from entsel.errors import DataError, LayoutError, ShapeError
 from entsel.text import CLS_ID, SEP_ID
@@ -167,6 +167,24 @@ def test_score_options_batch_matches_sequential():
     for g in range(3):
         want = score_options(model, encode_tokens(model, ids[g]), spans).data
         assert np.abs(got[g] - want).max() < 1e-12
+
+
+def test_fused_groups_partition_by_sorted_key():
+    id_lists = [[1, 2, 3], [4, 5], [6, 7, 8], [9], [1, 1, 2], [3, 4]]
+    groups = fused_groups(id_lists)
+    positions = [p for members, _ in groups for p in members]
+    assert sorted(positions) == list(range(len(id_lists)))
+    assert [ids.shape[1] for _, ids in groups] == [1, 2, 3]
+    for members, ids in groups:
+        assert members == sorted(members)
+        for row, pos in zip(ids, members):
+            assert row.tolist() == id_lists[pos]
+    # equal lengths with different span layouts stay apart, in key order
+    keys = [(3, ((1, 2),)), (2, ((1, 2),)), (3, ((2, 3),)), (1, ((0, 1),)),
+            (3, ((1, 2),)), (2, ((1, 2),))]
+    groups = fused_groups(id_lists, keys)
+    assert [members for members, _ in groups] == [[3], [1, 5], [0, 4], [2]]
+    assert [keys[members[0]] for members, _ in groups] == sorted(set(keys))
 
 
 def test_bi_encode_unit_norm_and_batch_parity():

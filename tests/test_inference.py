@@ -7,14 +7,13 @@ import statistics
 import numpy as np
 import pytest
 
-from entsel.encoder import EncoderConfig, EncoderModel
+from entsel.encoder import EncoderModel
 from entsel.errors import DataError
 from entsel.inference import (BenchRow, CostLedger, ParadigmConfig,
                               ScoredOption, bench, evaluate,
-                              example_averaged_prf, majority_vote,
-                              score_pairwise, score_parallel, select_multi,
-                              select_single, tally_votes, write_bench_csv,
-                              write_predictions)
+                              example_averaged_prf, score_pairwise,
+                              score_parallel, select_multi, select_single,
+                              write_bench_csv, write_predictions)
 from entsel.pairing import make_te_pair
 
 from conftest import TINY, small_instances, small_space, vocab_for
@@ -130,42 +129,6 @@ def test_select_multi_strict_threshold_and_antitone():
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(DataError):
             select_multi(scored, bad)
-
-
-def test_tally_votes_tie_rules():
-    assert tally_votes([0, 1, 1, 0, 2], {0: 0.5, 1: 0.4, 2: 0.9}) == 0
-    # vote tie -> higher mean wins
-    assert tally_votes([0, 1], {0: 0.4, 1: 0.6}) == 1
-    # vote and mean tie -> smaller index
-    assert tally_votes([3, 1], {1: 0.5, 3: 0.5}) == 1
-
-
-def test_majority_vote_positionless_model_reduces_to_argmax(setup):
-    space, instances, vocab, _ = setup
-    cfg = EncoderConfig(layers=2, heads=2, model_dim=8, ff_dim=16, max_len=64,
-                        dropout=0.0, use_positions=False, seed=2)
-    model = EncoderModel(cfg, 40)
-    inst = instances[0]
-    options = [0, 1, 2, 3, 4]
-    scored, _ = score_parallel(model, inst, options, 5, space, vocab)
-    want = select_single(scored)
-    got = majority_vote(model, inst, options, 5, 7, np.random.default_rng(0),
-                        space, vocab)
-    assert got == want
-    with pytest.raises(DataError):
-        majority_vote(model, inst, options, 5, 0, np.random.default_rng(0),
-                      space, vocab)
-
-
-def test_majority_vote_single_round_equals_one_scoring(setup):
-    space, instances, vocab, model = setup
-    inst = instances[4]
-    options = [0, 1, 2, 3]
-    rng = np.random.default_rng(4)
-    got = majority_vote(model, inst, options, 2, 1, rng, space, vocab)
-    order = [options[j] for j in np.random.default_rng(4).permutation(4)]
-    scored, _ = score_parallel(model, inst, order, 2, space, vocab)
-    assert got == select_single(scored)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ import entsel.numerics as nm
 from entsel.encoder import (EncoderModel, classify_pairs_batch, encode_batch,
                             score_options_batch)
 from entsel.errors import DataError, ShapeError
-from entsel.inference import ParadigmConfig, ScoredOption, example_averaged_prf
+from entsel.inference import ScoredOption, example_averaged_prf
 from entsel.numerics import Tensor
 from entsel.training import (Adam, THRESHOLD_GRID, TrainConfig, _epoch_pairs,
-                             bce_loss, ce_loss, scan_threshold, select_k,
-                             train, write_loss_csv, write_manifest)
+                             bce_loss, ce_loss, scan_threshold, train,
+                             write_loss_csv, write_manifest)
 
 from conftest import TINY, small_instances, small_space, vocab_for
 
@@ -312,25 +312,6 @@ def test_scan_threshold_matches_exhaustive_oracle():
                      for scored in per_instance]
             best = max(best, example_averaged_prf(preds, golds)[2])
         assert f1 == pytest.approx(best)
-
-
-def test_select_k_breaks_ties_toward_smaller_k(setup):
-    space, instances, vocab = setup
-    model = EncoderModel(TINY, len(vocab))
-
-    def factory(k):
-        return model, ParadigmConfig(mode="parallel", k=k)
-
-    best_k, curve = select_k(factory, instances, space, vocab, [12, 6])
-    ks = [k for k, _ in curve]
-    metrics = [m for _, m in curve]
-    assert ks == [12, 6]
-    # both ks fit all 6 options into a single layout, so the scores and the
-    # metric are identical; the cheaper k must win
-    assert metrics[0] == metrics[1]
-    assert best_k == 6
-    with pytest.raises(DataError):
-        select_k(factory, instances, space, vocab, [])
 
 
 # ---------------------------------------------------------------------------

@@ -159,6 +159,28 @@ def test_run_config_load_and_overrides(tmp_path):
             datafiles.load_run_config(cfg_path, overrides=[item])
 
 
+def test_run_config_json_types_and_ranges(tmp_path):
+    cfg = datafiles.load_run_config(make_config(tmp_path / "ok.json", "d", "o", tau=1,
+                                                early_stop=None, learning_rate=1e-3))
+    assert cfg.tau == 1 and cfg.early_stop is None
+    for key, value in (("epochs", True), ("epochs", 2.0), ("epochs", "2"), ("tau", "0.5"),
+                       ("calibrate", 1), ("calibrate", "yes"), ("early_stop", "none"),
+                       ("paradigm", 3), ("retrieve_k", -1), ("bi_epochs", 0),
+                       ("bi_batch_size", 1), ("bench_repetitions", 2), ("bench_limit", -1)):
+        path = make_config(tmp_path / "bad.json", "d", "o", **{key: value})
+        with pytest.raises(DataError, match=key) as info:
+            datafiles.load_run_config(path)
+        assert path in str(info.value)
+    path = tmp_path / "missing.json"
+    path.write_text('{"out_dir": "o"}')
+    with pytest.raises(DataError, match="data_dir"):
+        datafiles.load_run_config(str(path))
+    for text in ("[]", "3"):
+        path.write_text(text)
+        with pytest.raises(DataError, match="JSON object"):
+            datafiles.load_run_config(str(path))
+
+
 def test_run_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"data_dir": "d", "out_dir": "o", "leraning_rate": 0.1}')
@@ -233,10 +255,18 @@ def test_cli_data_errors_exit_2(run_area, tmp_path, capsys):
     bad_cfg = make_config(tmp_path / "c.json", data_dir, tmp_path / "empty")
     assert cli.main(["eval", "--config", bad_cfg]) == 2  # no checkpoint yet
     assert cli.main(["report", "--run", str(tmp_path / "empty")]) == 2
-    for item in ("learning_rate=fast", "epochs=0", "batch_size=0"):
+    for item in ("learning_rate=fast", "epochs=0", "batch_size=0", "bi_batch_size=0",
+                 "bi_batch_size=1", "bi_epochs=0"):
         capsys.readouterr()
         assert cli.main(["train", "--config", bad_cfg, "--set", item]) == 2, item
         assert item.split("=")[0] in capsys.readouterr().err, item
+    for key, value in (("epochs", "2"), ("calibrate", "yes")):
+        typed_cfg = make_config(tmp_path / f"{key}.json", data_dir, tmp_path / "typed",
+                                **{key: value})
+        capsys.readouterr()
+        assert cli.main(["train", "--config", typed_cfg]) == 2, key
+        err = capsys.readouterr().err
+        assert key in err and typed_cfg in err, key
 
 
 def test_cli_numeric_failures_exit_3(run_area, monkeypatch):
