@@ -1,10 +1,11 @@
 """Mini pre-norm transformer encoder with two output heads.
 
-The trunk produces token-level representations. `classify_pair` softmaxes an
-affine map of the [CLS] row into (entail, non-entail); `score_options`
-sigmoid-scores the mean-pooled span of each hypothesis through a small MLP
-shared across positions. `bi_encode` mean-pools the whole sequence into a
-unit vector for retrieval.
+`encode_batch` produces token-level representations for a batch of
+same-length sequences. `classify_pairs_batch` softmaxes an affine map of each
+[CLS] row into (entail, non-entail); `score_options_batch` sigmoid-scores the
+mean-pooled span of each hypothesis through a small MLP shared across
+positions. `bi_encode_rows` mean-pools each whole sequence into a unit vector
+for retrieval.
 """
 
 import json
@@ -121,9 +122,6 @@ class EncoderModel:
     def parameters(self):
         return list(self.named_parameters().values())
 
-    def parameter_count(self):
-        return sum(p.size for p in self.parameters())
-
     def copy(self):
         """Deep copy with independent parameter arrays and dropout stream."""
         clone = EncoderModel(self.config, self.vocab_size)
@@ -132,112 +130,12 @@ class EncoderModel:
         return clone
 
 
-def _attention(blk, x, heads):
-    t, d = x.shape
-    dh = d // heads
-    q = nm.add(nm.matmul(x, blk.wq), blk.bq)
-    k = nm.add(nm.matmul(x, blk.wk), blk.bk)
-    v = nm.add(nm.matmul(x, blk.wv), blk.bv)
-    qh = nm.transpose(nm.reshape(q, (t, heads, dh)), (1, 0, 2))
-    kt = nm.transpose(nm.reshape(k, (t, heads, dh)), (1, 2, 0))
-    vh = nm.transpose(nm.reshape(v, (t, heads, dh)), (1, 0, 2))
-    scores = nm.mul_scalar(nm.matmul(qh, kt), 1.0 / math.sqrt(dh))
-    probs = nm.softmax(scores, axis=-1)
-    ctx = nm.reshape(nm.transpose(nm.matmul(probs, vh), (1, 0, 2)), (t, d))
-    return nm.add(nm.matmul(ctx, blk.wo), blk.bo)
-
-
-def encode_tokens(model, ids, train_mode=False):
-    """Top-layer token representations, shape [len(ids) x model_dim].
-
-    Position embeddings are added only when config.use_positions; dropout is
-    active only in train_mode, drawn from the model-owned rng.
-    """
-    cfg = model.config
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1 or ids.size == 0:
-        raise ShapeError("ids must be a non-empty 1-D sequence")
-    if ids.size > cfg.max_len:
-        raise LayoutError(f"sequence length {ids.size} exceeds max_len {cfg.max_len}")
-    if ids.min() < 0 or ids.max() >= model.vocab_size:
-        raise DataError("token id out of vocabulary range")
-
-    p = cfg.dropout if train_mode else 0.0
-    rng = model._dropout_rng
-    x = nm.embedding(model.tok_emb, ids)
-    if cfg.use_positions:
-        x = nm.add(x, nm.embedding(model.pos_emb, np.arange(ids.size)))
-    if p > 0.0:
-        x = nm.dropout(x, p, rng)
-    for blk in model.blocks:
-        h = nm.layer_norm(x, blk.ln1_g, blk.ln1_b)
-        attn = _attention(blk, h, cfg.heads)
-        if p > 0.0:
-            attn = nm.dropout(attn, p, rng)
-        x = nm.add(x, attn)
-        h = nm.layer_norm(x, blk.ln2_g, blk.ln2_b)
-        ff = nm.add(nm.matmul(nm.gelu(nm.add(nm.matmul(h, blk.w1), blk.b1)), blk.w2), blk.b2)
-        if p > 0.0:
-            ff = nm.dropout(ff, p, rng)
-        x = nm.add(x, ff)
-    return nm.layer_norm(x, model.final_g, model.final_b)
-
-
-def cls_vector(reps):
-    """Row 0 of the representations (the [CLS] position)."""
-    if reps.ndim != 2 or reps.shape[0] < 1:
-        raise ShapeError("reps must be a non-empty 2-D matrix")
-    return nm.reshape(nm.slice_rows(reps, 0, 1), (reps.shape[1],))
-
-
-def span_mean_pool(reps, span):
-    """Elementwise mean of rows [start, end); the per-hypothesis pooling."""
-    start, end = span
-    return nm.mean_rows(reps, start, end)
-
-
-def classify_pair(model, reps):
-    """(entail, non-entail) probability pair from the [CLS] representation."""
-    vec = nm.reshape(cls_vector(reps), (1, model.config.model_dim))
-    logits = nm.add(nm.matmul(vec, model.cls_w), model.cls_b)
-    return nm.reshape(nm.softmax(logits, axis=-1), (2,))
-
-
-def _validate_spans(spans, seq_len):
-    if not spans:
-        raise ShapeError("need at least one span")
-    prev_end = -1
-    for start, end in sorted(spans):
-        if start >= end:
-            raise ShapeError(f"empty span [{start},{end})")
-        if start < prev_end:
-            raise ShapeError("spans overlap")
-        if end > seq_len:
-            raise ShapeError(f"span [{start},{end}) exceeds sequence length {seq_len}")
-        prev_end = end
-
-
-def score_options(model, reps, spans):
-    """Per-span scores in (0,1), order-preserving: sigmoid(MLP(pooled span))."""
-    _validate_spans(spans, reps.shape[0])
-    pooled = nm.stack([span_mean_pool(reps, s) for s in spans])
-    h = nm.gelu(nm.add(nm.matmul(pooled, model.scorer_w1), model.scorer_b1))
-    logits = nm.add(nm.matmul(h, model.scorer_w2), model.scorer_b2)
-    return nm.sigmoid(nm.reshape(logits, (len(spans),)))
-
-
-def bi_encode(model, ids, train_mode=False):
-    """L2-normalized mean of all token representations (bi-encoding mode)."""
-    return bi_encode_rows(model, [list(ids)], train_mode=train_mode)[0]
-
-
 # ---------------------------------------------------------------------------
-# batched paths: same math as above over same-length sequences stacked into
-# one tensor. Attention never crosses sequence boundaries and every norm is
-# per-token, so results match the per-sequence functions exactly (dropout
-# draws aside). These exist because desk-scale matrices are overhead-bound:
-# one fused forward over a group is an order of magnitude faster than a loop.
-# fused_groups is the one policy that forms those groups.
+# the forward: one [batch x seq] matrix of same-length sequences per call.
+# Attention never crosses sequence boundaries and every norm is per-token, so
+# each row's result is what a one-row batch gives (dropout draws aside).
+# Desk-scale matrices are overhead-bound, so one fused call over a group is an
+# order of magnitude faster than a loop; fused_groups forms those groups.
 # ---------------------------------------------------------------------------
 
 
@@ -298,6 +196,20 @@ def classify_pairs_batch(model, reps_flat, batch, seq_len):
     return nm.softmax(logits, axis=-1)
 
 
+def _validate_spans(spans, seq_len):
+    if not spans:
+        raise ShapeError("need at least one span")
+    prev_end = -1
+    for start, end in sorted(spans):
+        if start >= end:
+            raise ShapeError(f"empty span [{start},{end})")
+        if start < prev_end:
+            raise ShapeError("spans overlap")
+        if end > seq_len:
+            raise ShapeError(f"span [{start},{end}) exceeds sequence length {seq_len}")
+        prev_end = end
+
+
 def score_options_batch(model, reps_flat, batch, seq_len, spans):
     """[batch x k] span scores; the span layout is shared across the batch."""
     _validate_spans(spans, seq_len)
@@ -332,9 +244,10 @@ def fused_groups(id_lists, keys=None):
 
 
 def bi_encode_rows(model, id_lists, train_mode=False):
-    """bi_encode over many sequences, fused by length group.
+    """L2-normalized mean of all token representations, per sequence.
 
-    Returns one unit-norm 1-D tensor per input sequence, in input order.
+    Sequences are fused by length group; returns one unit-norm 1-D tensor
+    per input sequence, in input order.
     """
     if not id_lists:
         raise ShapeError("need at least one id sequence")

@@ -244,16 +244,6 @@ def tsum(x):
     return _make(x.data.sum(), (x,), back)
 
 
-def tmean(x):
-    n = x.size
-
-    def back(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.full(x.shape, float(g) / n, dtype=np.float64))
-
-    return _make(x.data.mean(), (x,), back)
-
-
 def log(x, floor=0.0):
     """Natural log; values below `floor` are clamped before the log."""
     clamped = np.maximum(x.data, floor) if floor > 0.0 else x.data
@@ -380,39 +370,6 @@ def transpose(x, axes):
             x.accumulate_grad(g.transpose(inverse))
 
     return _make(x.data.transpose(axes), (x,), back)
-
-
-def slice_rows(x, start, end):
-    """Rows [start, end) of a 2-D tensor."""
-    if x.ndim != 2:
-        raise ShapeError("slice_rows expects a 2-D tensor")
-    if not (0 <= start < end <= x.shape[0]):
-        raise ShapeError(f"bad row slice [{start},{end}) for {x.shape}")
-
-    def back(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[start:end] = g
-            x.accumulate_grad(gx)
-
-    return _make(x.data[start:end], (x,), back)
-
-
-def mean_rows(x, start, end):
-    """Elementwise mean of rows [start, end) of a 2-D tensor."""
-    if x.ndim != 2:
-        raise ShapeError("mean_rows expects a 2-D tensor")
-    if not (0 <= start < end <= x.shape[0]):
-        raise ShapeError(f"empty or out-of-range span [{start},{end}) for {x.shape}")
-    n = end - start
-
-    def back(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[start:end] = g / n
-            x.accumulate_grad(gx)
-
-    return _make(x.data[start:end].mean(axis=0), (x,), back)
 
 
 def stack(tensors):

@@ -4,26 +4,23 @@ The index embeds every option once; queries reuse it. No approximate
 structures, since option spaces stay small enough for a full scan.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics as nm
-from .encoder import bi_encode, bi_encode_rows
+from .encoder import bi_encode_rows
 from .errors import DataError
-from .inference import ScoredOption
 from .pairing import verbalize
+from .text import CLS_ID
 from .training import Adam
 
 EPS = 1e-12
-INDEX_HEADER = struct.Struct("<qq")  # n rows, model_dim
 
 
 @dataclass
 class EmbeddingIndex:
     matrix: np.ndarray  # [n, model_dim], rows unit-norm, row i = option i
-    space_name: str = "default"
 
     def __post_init__(self):
         if self.matrix.ndim != 2 or self.matrix.shape[0] < 1:
@@ -44,20 +41,18 @@ def option_text(space, option_index):
 
 
 def _text_ids(model, vocab, text):
-    from .text import CLS_ID
-
     return [CLS_ID] + vocab.encode(text)[:model.config.max_len - 1]
 
 
-def embed_text(model, vocab, text):
-    """Unit-norm query embedding ([CLS] prepended, eval mode)."""
-    return bi_encode(model, _text_ids(model, vocab, text), train_mode=False).data
-
-
 def _embed_many(model, vocab, texts):
-    """One embedding row per text, fused by length; same values as embed_text."""
+    """One unit-norm embedding row per text ([CLS] prepended, eval mode)."""
     rows = bi_encode_rows(model, [_text_ids(model, vocab, t) for t in texts])
     return np.stack([r.data for r in rows])
+
+
+def embed_text(model, vocab, text):
+    """Unit-norm query embedding: one row of _embed_many."""
+    return _embed_many(model, vocab, [text])[0]
 
 
 def build_index(model, space, vocab):
@@ -65,18 +60,7 @@ def build_index(model, space, vocab):
     if len(space) < 1:
         raise DataError("cannot index an empty option space")
     rows = _embed_many(model, vocab, [option_text(space, i) for i in range(len(space))])
-    return EmbeddingIndex(matrix=rows, space_name=space.name)
-
-
-def top_k(index, model, vocab, text, k):
-    """k best options by cosine, scores descending, ties to the smaller index."""
-    n = len(index)
-    if not 1 <= k <= n:
-        raise DataError(f"k must lie in [1, {n}], got {k}")
-    query = embed_text(model, vocab, text)
-    scores = index.matrix @ query
-    order = np.lexsort((np.arange(n), -scores))[:k]
-    return [ScoredOption(int(i), float(scores[i])) for i in order]
+    return EmbeddingIndex(matrix=rows)
 
 
 def rank_all(index, model, vocab, instances):
@@ -92,11 +76,6 @@ def recall_from_rankings(rankings, instances, k):
             total += 1
             hits += int(g in prefix)
     return hits / total if total else 0.0
-
-
-def recall_at_k(index, model, vocab, instances, k):
-    """Fraction of (instance, gold option) pairs whose gold lands in the top k."""
-    return recall_from_rankings(rank_all(index, model, vocab, instances), instances, k)
 
 
 def retrieve_candidates(index, model, vocab, instances, k):
@@ -120,13 +99,17 @@ def train_bi_encoder(model, dataset, space, vocab, epochs=3, batch_size=16,
     """
     if not dataset:
         raise DataError("bi-encoder training set is empty")
+    if epochs < 1:
+        raise DataError(f"bi-encoder epochs must be >= 1, got {epochs}")
+    if batch_size < 2:
+        raise DataError(f"bi-encoder batch_size must be >= 2, got {batch_size}")
     if temperature <= 0:
         raise DataError("temperature must be positive")
     pairs = [(inst, g) for inst in dataset for g in sorted(inst.gold)]
     if not pairs:
         raise DataError("bi-encoder training set has no gold options")
     rng = np.random.default_rng(seed)
-    total_steps = epochs * max(1, len(pairs) // max(2, batch_size))
+    total_steps = epochs * max(1, len(pairs) // batch_size)
     opt = Adam(model.parameters(), lr=lr, warmup_steps=max(1, int(0.05 * total_steps)))
     losses = []
     for _epoch in range(epochs):
@@ -150,23 +133,3 @@ def train_bi_encoder(model, dataset, space, vocab, epochs=3, batch_size=16,
             losses.append(loss.item())
             opt.step()
     return losses
-
-
-def save_index(path, index):
-    n, d = index.matrix.shape
-    with open(path, "wb") as fh:
-        fh.write(INDEX_HEADER.pack(n, d))
-        fh.write(np.ascontiguousarray(index.matrix, dtype="<f8").tobytes())
-
-
-def load_index(path, space_name="default"):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < INDEX_HEADER.size:
-        raise DataError(f"index file {path} is truncated")
-    n, d = INDEX_HEADER.unpack_from(blob)
-    expected = INDEX_HEADER.size + n * d * 8
-    if n < 1 or d < 1 or len(blob) != expected:
-        raise DataError(f"index file {path} has inconsistent header or length")
-    matrix = np.frombuffer(blob, dtype="<f8", offset=INDEX_HEADER.size).reshape(n, d)
-    return EmbeddingIndex(matrix=matrix.astype(np.float64), space_name=space_name)

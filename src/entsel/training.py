@@ -25,15 +25,14 @@ EPS = 1e-12
 THRESHOLD_GRID = tuple(i / 100 for i in range(1, 100))
 
 
-def ce_loss(probs, label):
-    """−log p(label) for a 2-way (entail, non-entail) distribution."""
-    if probs.shape != (2,):
-        raise ShapeError(f"expected 2-way probabilities, got shape {probs.shape}")
-    if abs(float(np.sum(probs.data)) - 1.0) > 1e-6:
-        raise DataError("probabilities must sum to 1")
-    onehot = np.array([1.0, 0.0]) if label else np.array([0.0, 1.0])
-    picked = nm.tsum(nm.mul(probs, nm.Tensor(onehot)))
-    return nm.neg(nm.log(picked, floor=EPS))
+def ce_loss(probs, labels):
+    """Summed −log p(label) over the rows of [b x 2] (entail, non-entail) probabilities."""
+    if probs.shape != (len(labels), 2):
+        raise ShapeError(f"expected [{len(labels)} x 2] probabilities, got shape {probs.shape}")
+    if np.abs(probs.data.sum(axis=1) - 1.0).max() > 1e-6:
+        raise DataError("probabilities must sum to 1 in every row")
+    onehot = np.array([[1.0, 0.0] if label else [0.0, 1.0] for label in labels])
+    return nm.neg(nm.tsum(nm.mul(nm.log(probs, floor=EPS), nm.Tensor(onehot))))
 
 
 def bce_loss(scores, labels):
@@ -211,8 +210,7 @@ def _pair_batch_loss(model, pairs):
     for members, ids in fused_groups([lay.ids for lay, _ in pairs]):
         reps = encode_batch(model, ids, train_mode=True)
         probs = classify_pairs_batch(model, reps, *ids.shape)
-        onehot = np.array([[1.0, 0.0] if pairs[p][1] else [0.0, 1.0] for p in members])
-        nll = nm.neg(nm.tsum(nm.mul(nm.log(probs, floor=EPS), nm.Tensor(onehot))))
+        nll = ce_loss(probs, [pairs[p][1] for p in members])
         total = nll if total is None else nm.add(total, nll)
     return nm.mul_scalar(total, 1.0 / len(pairs))
 

@@ -16,7 +16,7 @@ from ..errors import DataError
 from ..inference import (ParadigmConfig, bench, evaluate, write_bench_csv, write_csv,
                          write_predictions)
 from ..retrieval import (build_index, rank_all, recall_from_rankings,
-                         retrieve_candidates, save_index, train_bi_encoder)
+                         retrieve_candidates, train_bi_encoder)
 from ..training import calibrate_threshold, train, write_loss_csv, write_manifest
 from .datafiles import (encoder_config_from, read_bundle, train_config_from,
                         write_resolved_config)
@@ -57,33 +57,56 @@ def _fit_index(cfg, bundle):
     return bi_model, build_index(bi_model, bundle.space, bundle.vocab)
 
 
-def build_retrieval(cfg, bundle, save_dir=None):
-    """Fit the bi-encoder, index the space, and retrieve top-k pools for every split.
+def build_retrieval(cfg, bundle):
+    """Fit the bi-encoder, index the space, retrieve top-k pools for every split,
+    and write them to out_dir/candidates.json.
 
-    Returns (index, candidates_by_split); (None, None) when retrieve_k == 0.
+    Returns candidates_by_split; None when retrieve_k == 0.
     """
     if cfg.retrieve_k <= 0:
-        return None, None
+        return None
     if cfg.retrieve_k > len(bundle.space):
         raise DataError(f"retrieve_k {cfg.retrieve_k} exceeds space size {len(bundle.space)}")
     bi_model, index = _fit_index(cfg, bundle)
     candidates = {split: retrieve_candidates(index, bi_model, bundle.vocab, insts,
                                              cfg.retrieve_k)
                   for split, insts in bundle.splits.items()}
-    if save_dir is not None:
-        save_index(os.path.join(save_dir, "index.bin"), index)
-        with open(os.path.join(save_dir, "candidates.json"), "w", encoding="utf-8") as fh:
-            json.dump({"k": cfg.retrieve_k, "splits": candidates}, fh, sort_keys=True)
-            fh.write("\n")
-    return index, candidates
+    with open(os.path.join(cfg.out_dir, "candidates.json"), "w", encoding="utf-8") as fh:
+        json.dump({"k": cfg.retrieve_k, "splits": candidates}, fh, sort_keys=True)
+        fh.write("\n")
+    return candidates
 
 
-def load_candidates(out_dir):
-    path = os.path.join(out_dir, "candidates.json")
+def load_candidates(cfg, bundle, splits):
+    """out_dir/candidates.json validated whole (None when absent): "k" must equal
+    retrieve_k when > 0, and every id of each split in `splits` needs a
+    non-empty list of option indices. A fault raises DataError naming the file."""
+    path = os.path.join(cfg.out_dir, "candidates.json")
     if not os.path.exists(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DataError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("splits"), dict):
+        raise DataError(f"{path}: expected an object with a 'splits' object")
+    k = payload.get("k")
+    if cfg.retrieve_k > 0 and (type(k) is not int or k != cfg.retrieve_k):
+        raise DataError(f"{path}: 'k' is {k!r} but retrieve_k is {cfg.retrieve_k}")
+    n = len(bundle.space)
+    for split in splits:
+        pools = payload["splits"].get(split)
+        if not isinstance(pools, dict):
+            raise DataError(f"{path}: no candidate pools for split {split!r}")
+        for inst in bundle.splits[split]:
+            pool = pools.get(inst.id)
+            if pool is None:
+                raise DataError(f"{path}: no candidates for {split} id {inst.id!r}")
+            if not (isinstance(pool, list) and pool and all(
+                    type(o) is int and 0 <= o < n for o in pool)):
+                raise DataError(f"{path}: candidates for {split} id {inst.id!r} must be "
+                                f"a non-empty list of option indices in [0, {n})")
     return payload["splits"]
 
 
@@ -92,18 +115,18 @@ def _split_cands(candidates, split):
 
 
 def retrieve_run(cfg):
-    """Standalone retrieval: writes index.bin, candidates.json, recall.csv."""
+    """Standalone retrieval: writes candidates.json and recall.csv."""
     if cfg.retrieve_k < 1:
         raise DataError("retrieve needs retrieve_k >= 1")
     bundle = load_bundle_for(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_resolved_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
-    index, candidates = build_retrieval(cfg, bundle, save_dir=cfg.out_dir)
+    candidates = build_retrieval(cfg, bundle)
     recall = {split: recall_from_rankings(candidates[split], bundle.splits[split], cfg.retrieve_k)
               for split in ("dev", "test")}
     write_csv(os.path.join(cfg.out_dir, "recall.csv"), ("split", "k", "recall"),
               [(split, cfg.retrieve_k, f"{r:.6f}") for split, r in recall.items()])
-    return index, candidates
+    return candidates
 
 
 def train_run(cfg):
@@ -111,7 +134,7 @@ def train_run(cfg):
     bundle = load_bundle_for(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_resolved_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
-    _, candidates = build_retrieval(cfg, bundle, save_dir=cfg.out_dir)
+    candidates = build_retrieval(cfg, bundle)
     model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
     tcfg = train_config_from(cfg)
     _progress(f"training {tcfg.mode} for up to {tcfg.epochs} epochs")
@@ -149,7 +172,8 @@ def eval_run(cfg, model=None, candidates=None):
             raise DataError(f"no checkpoint at {ckpt}; train first")
         model = load_model(ckpt)
     if candidates is None:
-        candidates = load_candidates(cfg.out_dir)
+        calibrating = cfg.multi_label and cfg.calibrate
+        candidates = load_candidates(cfg, bundle, ("dev", "test") if calibrating else ("test",))
     if cfg.retrieve_k > 0 and candidates is None:
         raise DataError("retrieve_k > 0 but no candidates.json; run retrieve or train first")
     tau = _pick_tau(cfg, model, bundle, candidates)
@@ -173,7 +197,7 @@ def bench_run(cfg, model=None, candidates=None):
     if model is None:
         model = load_model(os.path.join(cfg.out_dir, "model.bin"))
     if candidates is None:
-        candidates = load_candidates(cfg.out_dir)
+        candidates = load_candidates(cfg, bundle, ("test",))
     instances = bundle.splits["test"]
     if cfg.bench_limit > 0:
         instances = instances[:cfg.bench_limit]
@@ -204,7 +228,7 @@ def run_ablation(cfg):
     bundle = load_bundle_for(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_resolved_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
-    _, candidates = build_retrieval(cfg, bundle, save_dir=cfg.out_dir)
+    candidates = build_retrieval(cfg, bundle)
     rows = []
     for name, mode, use_topk in ABLATION_ROWS:
         _progress(f"ablation row {name}")

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import entsel.numerics as nm
-from entsel.encoder import (EncoderConfig, EncoderModel, classify_pair,
-                            encode_tokens, score_options)
+from entsel.encoder import (EncoderConfig, EncoderModel, classify_pairs_batch,
+                            encode_batch, score_options_batch)
 from entsel.inference import (ParadigmConfig, bench, evaluate,
                               example_averaged_prf, score_pairwise,
                               score_parallel)
@@ -22,7 +22,7 @@ from entsel.pairing import (OptionSpace, SelectionInstance, make_context_pair,
                             shuffle_augment)
 from entsel.retrieval import (build_index, embed_text, rank_all,
                               recall_from_rankings, retrieve_candidates,
-                              top_k, train_bi_encoder)
+                              train_bi_encoder)
 from entsel.text import CLS_ID, SEP_ID, build_vocab
 from entsel.training import (THRESHOLD_GRID, TrainConfig, bce_loss,
                              calibrate_threshold, ce_loss, train)
@@ -60,16 +60,21 @@ def test_criterion_01_every_parameter_passes_grad_check():
     vocab = build_vocab([" ".join(f"w{i}" for i in range(10))])
     model = EncoderModel(cfg, len(vocab))
     enc = vocab.encode
-    pair_ids = [CLS_ID] + enc("w0 w1 w2") + [SEP_ID] + enc("w3 w4") + [SEP_ID]
-    par_ids = ([CLS_ID] + enc("w0 w1") + [SEP_ID] + enc("w5") + [SEP_ID]
-               + enc("w6") + [SEP_ID])
+    # batch 2, so the batch axis of every op is covered too
+    pair_ids = [[CLS_ID] + enc("w0 w1 w2") + [SEP_ID] + enc("w3 w4") + [SEP_ID],
+                [CLS_ID] + enc("w5 w6 w7") + [SEP_ID] + enc("w8 w9") + [SEP_ID]]
+    par_ids = [[CLS_ID] + enc("w0 w1") + [SEP_ID] + enc("w5") + [SEP_ID]
+               + enc("w6") + [SEP_ID],
+               [CLS_ID] + enc("w2 w3") + [SEP_ID] + enc("w7") + [SEP_ID]
+               + enc("w8") + [SEP_ID]]
     spans = [(4, 5), (6, 7)]
 
     def combined_loss(_x):
         # one scalar that back-propagates through both heads and the trunk
-        pair = ce_loss(classify_pair(model, encode_tokens(model, pair_ids)), True)
-        par = bce_loss(score_options(model, encode_tokens(model, par_ids), spans),
-                       [True, False])
+        probs = classify_pairs_batch(model, encode_batch(model, pair_ids), 2, 8)
+        pair = ce_loss(probs, [True, False])
+        scores = score_options_batch(model, encode_batch(model, par_ids), 2, 8, spans)
+        par = bce_loss(nm.reshape(scores, (4,)), [True, False, False, True])
         return nm.add(pair, par)
 
     params = model.named_parameters()
@@ -91,7 +96,7 @@ def test_criterion_02_loss_closed_forms():
         math.log(2), abs=1e-9)
     assert bce_loss(nm.Tensor(np.array([0.9, 0.1])),
                     [True, False]).item() == pytest.approx(-math.log(0.9), abs=1e-9)
-    assert ce_loss(nm.Tensor(np.array([0.5, 0.5])), True).item() == pytest.approx(
+    assert ce_loss(nm.Tensor(np.array([[0.5, 0.5]])), [True]).item() == pytest.approx(
         math.log(2), abs=1e-9)
 
 
@@ -174,19 +179,18 @@ def test_criterion_06_top_k_matches_brute_force_on_10k_options():
     n = len(space)
 
     # full agreement for every k on one query, full-order spot checks on the rest
-    query = instances[0].premise
-    scores = index.matrix @ embed_text(model, vocab, query)
+    query = instances[0]
+    scores = index.matrix @ embed_text(model, vocab, query.premise)
     brute = sorted(range(n), key=lambda i: (-scores[i], i))
     for k in range(1, n + 1):
-        got = [so.index for so in top_k(index, model, vocab, query, k)]
+        got = retrieve_candidates(index, model, vocab, [query], k)[query.id]
         assert got == brute[:k], f"mismatch at k={k}"
+    rankings = rank_all(index, model, vocab, instances)
     for inst in instances[1:4]:
         s = index.matrix @ embed_text(model, vocab, inst.premise)
-        want = sorted(range(n), key=lambda i: (-s[i], i))
-        assert [so.index for so in top_k(index, model, vocab, inst.premise, n)] == want
+        assert rankings[inst.id] == sorted(range(n), key=lambda i: (-s[i], i))
 
     # recall@k: exact match to the rank-position oracle and monotone throughout
-    rankings = rank_all(index, model, vocab, instances)
     positions = []
     for inst in instances:
         rank_of = {opt: r for r, opt in enumerate(rankings[inst.id])}

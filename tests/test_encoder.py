@@ -3,19 +3,28 @@
 import numpy as np
 import pytest
 
-from entsel.encoder import (EncoderConfig, EncoderModel, bi_encode,
-                            bi_encode_rows, classify_pair,
-                            classify_pairs_batch, cls_vector, encode_batch,
-                            encode_tokens, fused_groups, load_model, save_model,
-                            score_options, score_options_batch, span_mean_pool)
+from entsel.encoder import (EncoderConfig, EncoderModel, bi_encode_rows,
+                            classify_pairs_batch, encode_batch, fused_groups,
+                            load_model, save_model, score_options_batch)
 from entsel.errors import DataError, LayoutError, ShapeError
+from entsel.numerics import Tensor
 from entsel.text import CLS_ID, SEP_ID
 
-from conftest import TINY
+from conftest import (TINY, reference_bi_encode, reference_classify, reference_encode,
+                      reference_scores)
 
 
 def make_model(config=TINY, vocab_size=20):
     return EncoderModel(config, vocab_size)
+
+
+def encode_one(model, ids, train_mode=False):
+    """Token representations of one sequence, as a one-row batch."""
+    return encode_batch(model, [list(ids)], train_mode=train_mode)
+
+
+def scores_one(model, reps, spans):
+    return score_options_batch(model, reps, 1, reps.shape[0], spans).data[0]
 
 
 def test_config_validation():
@@ -29,25 +38,27 @@ def test_config_validation():
 
 def test_encode_shape_and_input_checks():
     model = make_model()
-    reps = encode_tokens(model, [CLS_ID, 5, 6, SEP_ID])
-    assert reps.shape == (4, TINY.model_dim)
+    reps = encode_batch(model, [[CLS_ID, 5, 6, SEP_ID], [CLS_ID, 7, 8, SEP_ID]])
+    assert reps.shape == (2 * 4, TINY.model_dim)
     with pytest.raises(ShapeError):
-        encode_tokens(model, [])
+        encode_batch(model, [[]])
+    with pytest.raises(ShapeError):
+        encode_batch(model, [CLS_ID, 5, 6])  # 1-D input
     with pytest.raises(LayoutError):
-        encode_tokens(model, [5] * (TINY.max_len + 1))
+        encode_one(model, [5] * (TINY.max_len + 1))
     with pytest.raises(DataError):
-        encode_tokens(model, [5, 99])  # vocab_size is 20
+        encode_one(model, [5, 99])  # vocab_size is 20
 
 
 def test_eval_mode_is_deterministic():
     model = make_model(EncoderConfig(layers=2, heads=2, model_dim=8, ff_dim=16,
                                      max_len=64, dropout=0.5, seed=0), 20)
     ids = [CLS_ID, 4, 5, 6, SEP_ID]
-    a = encode_tokens(model, ids).data
-    b = encode_tokens(model, ids).data
+    a = encode_one(model, ids).data
+    b = encode_one(model, ids).data
     assert np.array_equal(a, b)
     # train_mode with dropout>0 must actually perturb
-    c = encode_tokens(model, ids, train_mode=True).data
+    c = encode_one(model, ids, train_mode=True).data
     assert not np.array_equal(a, c)
 
 
@@ -65,57 +76,67 @@ def test_permutation_equivariance_without_positions():
     for _ in range(10):
         ids = rng.integers(4, 30, size=9)
         perm = rng.permutation(9)
-        base = encode_tokens(model, ids).data
-        permuted = encode_tokens(model, ids[perm]).data
+        both = encode_batch(model, np.stack([ids, ids[perm]])).data
+        base, permuted = both[:9], both[9:]
         assert np.abs(permuted - base[perm]).max() < 1e-9
 
 
 def test_positions_break_permutation_equivariance():
     model = make_model()
     ids = np.array([4, 5, 6, 7])
-    base = encode_tokens(model, ids).data
-    swapped = encode_tokens(model, ids[[1, 0, 2, 3]]).data
+    base = encode_one(model, ids).data
+    swapped = encode_one(model, ids[[1, 0, 2, 3]]).data
     assert np.abs(swapped - base[[1, 0, 2, 3]]).max() > 1e-6
 
 
 def test_cls_vector_is_row_zero():
+    # the classifier reads row g*seq of the flat reps and nothing else
     model = make_model()
-    reps = encode_tokens(model, [CLS_ID, 4, 5])
-    assert np.array_equal(cls_vector(reps).data, reps.data[0])
-    with pytest.raises(ShapeError):
-        cls_vector(cls_vector(reps))  # 1-D input
+    rng = np.random.default_rng(1)
+    reps = rng.normal(size=(3 * 5, TINY.model_dim))
+    probs = classify_pairs_batch(model, Tensor(reps), 3, 5).data
+    reps[[1, 2, 3, 4, 6, 9, 14]] = rng.normal(size=(7, TINY.model_dim))
+    assert np.array_equal(classify_pairs_batch(model, Tensor(reps), 3, 5).data, probs)
+    for g in range(3):
+        assert np.abs(probs[g] - reference_classify(model, reps[g * 5:(g + 1) * 5])).max() < 1e-12
 
 
 def test_span_mean_pool_matches_manual_mean():
+    # on arbitrary flat reps the scores equal the reference's, which pools
+    # each span as the plain mean of its rows
     model = make_model()
-    reps = encode_tokens(model, [CLS_ID, 4, 5, 6, 7, SEP_ID])
-    got = span_mean_pool(reps, (2, 5)).data
-    assert np.abs(got - reps.data[2:5].mean(axis=0)).max() < 1e-12
+    reps = np.random.default_rng(2).normal(size=(2 * 6, TINY.model_dim))
+    spans = [(2, 5), (5, 6)]
+    got = score_options_batch(model, Tensor(reps), 2, 6, spans).data
+    for g in range(2):
+        want = reference_scores(model, reps[g * 6:(g + 1) * 6], spans)
+        assert np.abs(got[g] - want).max() < 1e-12
 
 
 def test_classify_pair_probabilities():
     model = make_model()
-    reps = encode_tokens(model, [CLS_ID, 4, 5, SEP_ID, 6, SEP_ID])
-    probs = classify_pair(model, reps).data
-    assert probs.shape == (2,) and abs(probs.sum() - 1.0) < 1e-9
+    ids = [[CLS_ID, 4, 5, SEP_ID, 6, SEP_ID], [CLS_ID, 7, 5, SEP_ID, 4, SEP_ID]]
+    reps = encode_batch(model, ids)
+    probs = classify_pairs_batch(model, reps, 2, 6).data
+    assert probs.shape == (2, 2) and np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
     assert np.all(probs > 0.0)
     # zeroed head gives exactly even odds regardless of the encoding
     model.cls_w.data[:] = 0.0
     model.cls_b.data[:] = 0.0
-    probs = classify_pair(model, reps).data
-    assert np.array_equal(probs, [0.5, 0.5])
+    probs = classify_pairs_batch(model, reps, 2, 6).data
+    assert np.array_equal(probs, [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_score_options_zero_scorer_and_shapes():
     model = make_model()
-    reps = encode_tokens(model, [CLS_ID, 4, 5, SEP_ID, 6, 7, SEP_ID, 8, SEP_ID])
-    scores = score_options(model, reps, [(4, 6), (7, 8)]).data
+    reps = encode_one(model, [CLS_ID, 4, 5, SEP_ID, 6, 7, SEP_ID, 8, SEP_ID])
+    scores = scores_one(model, reps, [(4, 6), (7, 8)])
     assert scores.shape == (2,) and np.all((scores > 0.0) & (scores < 1.0))
-    single = score_options(model, reps, [(4, 6)]).data
+    single = scores_one(model, reps, [(4, 6)])
     assert abs(single[0] - scores[0]) < 1e-12  # per-span score is local
     model.scorer_w2.data[:] = 0.0
     model.scorer_b2.data[:] = 0.0
-    assert np.array_equal(score_options(model, reps, [(4, 6), (7, 8)]).data, [0.5, 0.5])
+    assert np.array_equal(scores_one(model, reps, [(4, 6), (7, 8)]), [0.5, 0.5])
 
 
 def test_identical_token_spans_score_identically_without_positions():
@@ -123,17 +144,18 @@ def test_identical_token_spans_score_identically_without_positions():
                         dropout=0.0, use_positions=False, seed=1)
     model = EncoderModel(cfg, 30)
     ids = [CLS_ID, 4, 5, SEP_ID, 8, 9, SEP_ID, 8, 9, SEP_ID]
-    scores = score_options(model, reps := encode_tokens(model, ids), [(4, 6), (7, 9)]).data
+    reps = encode_one(model, ids)
+    scores = scores_one(model, reps, [(4, 6), (7, 9)])
     assert abs(scores[0] - scores[1]) < 1e-12
     assert np.abs(reps.data[4:6] - reps.data[7:9]).max() < 1e-12
 
 
 def test_span_validation():
     model = make_model()
-    reps = encode_tokens(model, [CLS_ID, 4, 5, 6])
+    reps = encode_one(model, [CLS_ID, 4, 5, 6])
     for bad in ([], [(2, 2)], [(1, 3), (2, 4)], [(1, 5)]):
         with pytest.raises(ShapeError):
-            score_options(model, reps, bad)
+            score_options_batch(model, reps, 1, 4, bad)
 
 
 def test_encode_batch_matches_sequential():
@@ -142,7 +164,7 @@ def test_encode_batch_matches_sequential():
     ids = rng.integers(4, 20, size=(5, 7))
     flat = encode_batch(model, ids).data
     for g in range(5):
-        row = encode_tokens(model, ids[g]).data
+        row = reference_encode(model, ids[g])
         assert np.abs(flat[g * 7:(g + 1) * 7] - row).max() < 1e-12
 
 
@@ -153,7 +175,7 @@ def test_classify_pairs_batch_matches_sequential():
     probs = classify_pairs_batch(model, encode_batch(model, ids), 4, 6).data
     assert probs.shape == (4, 2)
     for g in range(4):
-        want = classify_pair(model, encode_tokens(model, ids[g])).data
+        want = reference_classify(model, reference_encode(model, ids[g]))
         assert np.abs(probs[g] - want).max() < 1e-12
 
 
@@ -165,7 +187,7 @@ def test_score_options_batch_matches_sequential():
     got = score_options_batch(model, encode_batch(model, ids), 3, 9, spans).data
     assert got.shape == (3, 2)
     for g in range(3):
-        want = score_options(model, encode_tokens(model, ids[g]), spans).data
+        want = reference_scores(model, reference_encode(model, ids[g]), spans)
         assert np.abs(got[g] - want).max() < 1e-12
 
 
@@ -194,11 +216,8 @@ def test_bi_encode_unit_norm_and_batch_parity():
     rows = bi_encode_rows(model, id_lists)
     for ids, row in zip(id_lists, rows):
         assert abs(np.linalg.norm(row.data) - 1.0) < 1e-9
-        reps = encode_tokens(model, ids).data
-        pooled = reps.mean(axis=0)
-        want = pooled / np.linalg.norm(pooled)
-        assert np.abs(row.data - want).max() < 1e-9
-        assert np.abs(bi_encode(model, ids).data - row.data).max() < 1e-12
+        assert np.abs(row.data - reference_bi_encode(model, ids)).max() < 1e-9
+        assert np.abs(bi_encode_rows(model, [ids])[0].data - row.data).max() < 1e-12
     with pytest.raises(ShapeError):
         bi_encode_rows(model, [])
 
@@ -251,8 +270,9 @@ def test_parameter_count_depends_only_on_config():
     a = EncoderModel(TINY, 20)
     b = EncoderModel(EncoderConfig(layers=2, heads=2, model_dim=8, ff_dim=16,
                                    max_len=64, dropout=0.0, seed=99), 20)
-    assert a.parameter_count() == b.parameter_count()
-    assert a.parameter_count() == sum(p.data.size for p in a.parameters())
+    shapes = {name: p.shape for name, p in a.named_parameters().items()}
+    assert shapes == {name: p.shape for name, p in b.named_parameters().items()}
+    assert not np.array_equal(a.tok_emb.data, b.tok_emb.data)  # the seed does matter
 
 
 def test_copy_is_deep():

@@ -1,4 +1,4 @@
-"""Bi-encoder index: brute-force agreement, recall arithmetic, persistence."""
+"""Bi-encoder index: brute-force agreement, recall arithmetic, training guards."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,8 @@ import pytest
 from entsel.errors import DataError
 from entsel.pairing import OptionSpace, SelectionInstance
 from entsel.retrieval import (EmbeddingIndex, build_index, embed_text,
-                              load_index, option_text, rank_all, recall_at_k,
-                              recall_from_rankings, retrieve_candidates,
-                              save_index, top_k, train_bi_encoder)
+                              option_text, rank_all, recall_from_rankings,
+                              retrieve_candidates, train_bi_encoder)
 from entsel.encoder import EncoderModel
 
 from conftest import TINY, small_instances, small_space, vocab_for
@@ -48,23 +47,27 @@ def test_non_unit_rows_rejected():
         EmbeddingIndex(matrix=np.ones((2, 4)))
 
 
+def brute_force_order(index, model, vocab, text):
+    scores = index.matrix @ embed_text(model, vocab, text)
+    return sorted(range(len(index)), key=lambda i: (-scores[i], i)), scores
+
+
 def test_option_query_ranks_itself_first(setup):
     space, _, vocab, model, index = setup
-    for i in range(len(space)):
-        got = top_k(index, model, vocab, option_text(space, i), 1)
-        assert got[0].index == i and got[0].score == pytest.approx(1.0)
+    queries = [SelectionInstance(id=f"q{i}", premise=option_text(space, i), gold=frozenset())
+               for i in range(len(space))]
+    top = retrieve_candidates(index, model, vocab, queries, 1)
+    for i, query in enumerate(queries):
+        assert top[query.id] == [i]
+        assert index.matrix[i] @ embed_text(model, vocab, query.premise) == pytest.approx(1.0)
 
 
 def test_top_k_matches_brute_force(setup):
     space, instances, vocab, model, index = setup
-    for inst in instances[:4]:
-        q = embed_text(model, vocab, inst.premise)
-        scores = index.matrix @ q
-        full_order = sorted(range(len(space)), key=lambda i: (-scores[i], i))
-        for k in range(1, len(space) + 1):
-            got = top_k(index, model, vocab, inst.premise, k)
-            assert [s.index for s in got] == full_order[:k]
-            assert all(s.score == scores[s.index] for s in got)
+    for k in range(1, len(space) + 1):
+        got = retrieve_candidates(index, model, vocab, instances[:4], k)
+        for inst in instances[:4]:
+            assert got[inst.id] == brute_force_order(index, model, vocab, inst.premise)[0][:k]
 
 
 def test_top_k_tie_break_to_smaller_index():
@@ -77,19 +80,19 @@ def test_top_k_tie_break_to_smaller_index():
 
 
 def test_top_k_validates_k(setup):
-    space, _, vocab, model, index = setup
+    space, instances, vocab, model, index = setup
     with pytest.raises(DataError):
-        top_k(index, model, vocab, "x", 0)
+        retrieve_candidates(index, model, vocab, instances, 0)
     with pytest.raises(DataError):
-        top_k(index, model, vocab, "x", len(space) + 1)
+        retrieve_candidates(index, model, vocab, instances, len(space) + 1)
 
 
 def test_rank_all_and_retrieve_agree_with_top_k(setup):
-    space, instances, vocab, model, index = setup
+    _, instances, vocab, model, index = setup
     rankings = rank_all(index, model, vocab, instances)
     cands = retrieve_candidates(index, model, vocab, instances, 4)
     for inst in instances:
-        want = [s.index for s in top_k(index, model, vocab, inst.premise, len(space))]
+        want = brute_force_order(index, model, vocab, inst.premise)[0]
         assert rankings[inst.id] == want
         assert cands[inst.id] == want[:4]
 
@@ -104,44 +107,32 @@ def test_recall_arithmetic():
     assert recall_from_rankings(rankings, insts, 6) == 1.0
 
 
+def recall_at(model, space, vocab, instances, k):
+    index = build_index(model, space, vocab)
+    return recall_from_rankings(rank_all(index, model, vocab, instances), instances, k)
+
+
 def test_recall_monotone_in_k(setup):
     space, instances, vocab, model, index = setup
-    values = [recall_at_k(index, model, vocab, instances, k)
-              for k in range(1, len(space) + 1)]
+    rankings = rank_all(index, model, vocab, instances)
+    values = [recall_from_rankings(rankings, instances, k) for k in range(1, len(space) + 1)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     assert values[-1] == 1.0  # full ranking always contains the gold
-
-
-def test_index_save_load_round_trip(setup, tmp_path):
-    _, _, _, _, index = setup
-    path = tmp_path / "index.bin"
-    save_index(path, index)
-    loaded = load_index(path, space_name=index.space_name)
-    assert np.array_equal(loaded.matrix, index.matrix)
-    assert loaded.space_name == index.space_name
-
-
-def test_index_load_rejects_truncation(setup, tmp_path):
-    _, _, _, _, index = setup
-    path = tmp_path / "index.bin"
-    save_index(path, index)
-    blob = path.read_bytes()
-    path.write_bytes(blob[:-8])
-    with pytest.raises(DataError):
-        load_index(path)
-    path.write_bytes(blob[:4])
-    with pytest.raises(DataError):
-        load_index(path)
 
 
 def test_train_bi_encoder_improves_separation(setup):
     space, instances, vocab, _, _ = setup
     model = EncoderModel(TINY, len(vocab))
-    before = recall_at_k(build_index(model, space, vocab), model, vocab, instances, 2)
+    before = recall_at(model, space, vocab, instances, 2)
     losses = train_bi_encoder(model, instances, space, vocab,
                               epochs=8, batch_size=8, lr=3e-3, seed=0)
-    after = recall_at_k(build_index(model, space, vocab), model, vocab, instances, 2)
+    after = recall_at(model, space, vocab, instances, 2)
     assert losses[-1] < losses[0]
     assert after >= before
+    # each of these would train nothing: no data, no in-batch negatives, no epoch
     with pytest.raises(DataError):
         train_bi_encoder(model, [], space, vocab)
+    with pytest.raises(DataError, match="batch_size"):
+        train_bi_encoder(model, instances, space, vocab, batch_size=1)
+    with pytest.raises(DataError, match="epochs"):
+        train_bi_encoder(model, instances, space, vocab, epochs=0)

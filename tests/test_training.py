@@ -28,16 +28,23 @@ def t(data, rg=False):
 
 
 def test_ce_loss_closed_forms():
-    assert abs(ce_loss(t([0.5, 0.5]), True).item() - math.log(2)) < 1e-9
-    assert abs(ce_loss(t([0.9, 0.1]), True).item() + math.log(0.9)) < 1e-9
-    assert abs(ce_loss(t([0.9, 0.1]), False).item() + math.log(0.1)) < 1e-9
+    assert abs(ce_loss(t([[0.5, 0.5]]), [True]).item() - math.log(2)) < 1e-9
+    assert abs(ce_loss(t([[0.9, 0.1]]), [True]).item() + math.log(0.9)) < 1e-9
+    assert abs(ce_loss(t([[0.9, 0.1]]), [False]).item() + math.log(0.1)) < 1e-9
+    # rows add up: the loss of a batch is the sum of its rows' losses
+    got = ce_loss(t([[0.9, 0.1], [0.9, 0.1], [0.25, 0.75]]), [True, False, False]).item()
+    assert abs(got + math.log(0.9) + math.log(0.1) + math.log(0.75)) < 1e-9
 
 
 def test_ce_loss_validation():
     with pytest.raises(ShapeError):
-        ce_loss(t([0.2, 0.3, 0.5]), True)
+        ce_loss(t([[0.2, 0.3, 0.5]]), [True])
+    with pytest.raises(ShapeError):
+        ce_loss(t([[0.5, 0.5]]), [True, False])
+    with pytest.raises(ShapeError):
+        ce_loss(t([0.5, 0.5]), [True])  # one unbatched pair
     with pytest.raises(DataError):
-        ce_loss(t([0.9, 0.9]), True)
+        ce_loss(t([[0.5, 0.5], [0.9, 0.9]]), [True, True])
 
 
 def test_bce_loss_closed_forms():

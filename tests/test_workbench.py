@@ -286,19 +286,48 @@ def test_retrieve_run_artifacts(tmp_path):
     make_bundle(tmp_path / "data", n_train=12)
     cfg = datafiles.load_run_config(make_config(
         tmp_path / "c.json", tmp_path / "data", tmp_path / "out", retrieve_k=3))
-    index, candidates = pipeline.retrieve_run(cfg)
-    assert len(index) == 6
+    candidates = pipeline.retrieve_run(cfg)
     for split in ("train", "dev", "test"):
         for pool in candidates[split].values():
-            assert len(pool) == 3 and len(set(pool)) == 3
+            assert len(pool) == 3 and len(set(pool)) == 3 and set(pool) <= set(range(6))
     out = tmp_path / "out"
-    assert (out / "index.bin").exists() and (out / "candidates.json").exists()
+    assert (out / "candidates.json").exists()
+    assert not (out / "index.bin").exists()  # nothing could read it back
     lines = (out / "recall.csv").read_text().splitlines()
     assert lines[0] == "split,k,recall"
     for line in lines[1:]:
         split, k, recall = line.split(",")
         assert split in ("dev", "test") and k == "3"
         assert 0.0 <= float(recall) <= 1.0
+
+
+def test_cli_eval_rejects_bad_candidates_file(tmp_path, capsys):
+    make_bundle(tmp_path / "data")
+    cfg_path = make_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out",
+                           retrieve_k=3)
+    assert cli.main(["train", "--config", cfg_path]) == 0
+    path = tmp_path / "out" / "candidates.json"
+    text = path.read_text()
+
+    def eval_exit(content, *extra):
+        path.write_text(content)
+        capsys.readouterr()
+        code = cli.main(["eval", "--config", cfg_path, *extra])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return code, err
+
+    assert eval_exit(text)[0] == 0
+    for n in range(len(text.rstrip())):  # every strict prefix of the JSON
+        code, err = eval_exit(text[:n])
+        assert code == 2 and str(path) in err, n
+    payload = json.loads(text)
+    missing = sorted(payload["splits"]["test"])[0]
+    del payload["splits"]["test"][missing]
+    code, err = eval_exit(json.dumps(payload))
+    assert code == 2 and str(path) in err and missing in err
+    code, err = eval_exit(text, "--set", "retrieve_k=2")
+    assert code == 2 and str(path) in err and "retrieve_k" in err
 
 
 def test_ablation_rows_and_reproducibility(tmp_path):
