@@ -202,9 +202,6 @@ def write_predictions(path, result):
     """JSON-lines dump: one {id, scores, prediction, gold} record per instance."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in result.predictions:
-            rec = dict(rec)
-            if isinstance(rec["prediction"], (set, frozenset)):
-                rec["prediction"] = sorted(rec["prediction"])
             fh.write(json.dumps(rec) + "\n")
 
 

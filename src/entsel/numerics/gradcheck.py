@@ -11,7 +11,6 @@ from .tensor import ComputeGraph, backward
 class GradCheckReport:
     max_rel_error: float
     passed: bool
-    n_checked: int
     worst_index: int
 
 
@@ -55,4 +54,4 @@ def grad_check(f, x, step=1e-4, tolerance=1e-5):
     worst = int(np.argmax(rel)) if rel.size else 0
     max_rel = float(rel[worst]) if rel.size else 0.0
     return GradCheckReport(max_rel_error=max_rel, passed=max_rel < tolerance,
-                           n_checked=int(flat.size), worst_index=worst)
+                           worst_index=worst)

@@ -38,7 +38,6 @@ class SelectionInstance:
     premise: str
     gold: frozenset
     entity: str = None
-    space_ref: str = "default"
 
     def __post_init__(self):
         object.__setattr__(self, "gold", frozenset(self.gold))

@@ -60,9 +60,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path):
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
-        return cls([t for t in tokens if t])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return cls([t for t in fh.read().split("\n") if t])
+        except (UnicodeDecodeError, DataError) as exc:  # bad UTF-8 or duplicate tokens
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def build_vocab(corpus, min_count=1):

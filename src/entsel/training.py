@@ -108,7 +108,6 @@ class TrainConfig:
     seed: int = 0
     augment: bool = False
     negative_ratio: float = 1.0
-    rank_fill: bool = False  # fill parallel slots in pool order instead of sampling
     early_stop: float = None  # stop once the dev metric reaches this value
 
     def __post_init__(self):
@@ -157,8 +156,7 @@ def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
     """One k-option layout per instance (or an augmented group of them).
 
     Gold options always make it into the training layout; the remaining
-    slots come from the non-gold pool, sampled uniformly unless rank_fill
-    keeps the pool's own (retrieval rank) order.
+    slots are sampled uniformly from the non-gold pool.
     """
     layouts = []
     for inst in instances:
@@ -173,11 +171,8 @@ def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
             keep = golds
         fill_pool = [o for o in pool if o not in inst.gold]
         n_fill = min(config.k - len(keep), len(fill_pool))
-        if config.rank_fill:
-            fills = fill_pool[:n_fill]
-        else:
-            idx = rng.choice(len(fill_pool), size=n_fill, replace=False) if n_fill else []
-            fills = [fill_pool[int(i)] for i in idx]
+        idx = rng.choice(len(fill_pool), size=n_fill, replace=False) if n_fill else []
+        fills = [fill_pool[int(i)] for i in idx]
         opts = keep + fills
         if config.augment:
             if len(keep) != 1:

@@ -111,7 +111,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, LayoutError, ShapeError, FileNotFoundError) as exc:
+    except (DataError, LayoutError, ShapeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -19,6 +19,12 @@ from .synth import space_corpus
 SPLIT_NAMES = ("train", "dev", "test")
 
 
+def write_json(path, payload, indent=None):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
+
+
 def write_instances(path, instances):
     with open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
@@ -28,26 +34,39 @@ def write_instances(path, instances):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def _read_text(path):
+    """The whole file as text; bad UTF-8 raises DataError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
 def read_instances(path):
     instances, seen = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{line_no}: bad JSON ({exc})") from exc
-            for key in ("id", "text", "gold"):
-                if key not in rec:
-                    raise DataError(f"{path}:{line_no}: missing {key!r}")
-            if rec["id"] in seen:
-                raise DataError(f"{path}:{line_no}: duplicate id {rec['id']!r}")
-            seen.add(rec["id"])
-            instances.append(SelectionInstance(id=rec["id"], premise=rec["text"],
-                                               gold=frozenset(int(g) for g in rec["gold"]),
-                                               entity=rec.get("entity")))
+    for line_no, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{line_no}: bad JSON ({exc})") from exc
+        if type(rec) is not dict:
+            raise DataError(f"{path}:{line_no}: expected a JSON object")
+        for key, want in (("id", str), ("text", str), ("gold", list)):
+            if type(rec.get(key)) is not want:
+                raise DataError(f"{path}:{line_no}: {key!r} missing or not a {want.__name__}")
+        if not all(type(g) is int for g in rec["gold"]):
+            raise DataError(f"{path}:{line_no}: 'gold' must be a list of integers")
+        if rec.get("entity") is not None and type(rec["entity"]) is not str:
+            raise DataError(f"{path}:{line_no}: 'entity' must be a string")
+        if rec["id"] in seen:
+            raise DataError(f"{path}:{line_no}: duplicate id {rec['id']!r}")
+        seen.add(rec["id"])
+        instances.append(SelectionInstance(id=rec["id"], premise=rec["text"],
+                                           gold=frozenset(rec["gold"]), entity=rec.get("entity")))
     return instances
 
 
@@ -55,9 +74,8 @@ def write_space(directory, space):
     with open(os.path.join(directory, "options.txt"), "w", encoding="utf-8") as fh:
         for opt in space.options:
             fh.write(opt + "\n")
-    with open(os.path.join(directory, "space.json"), "w", encoding="utf-8") as fh:
-        json.dump({"name": space.name, "template": space.template}, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(directory, "space.json"),
+               {"name": space.name, "template": space.template})
 
 
 def read_space(directory):
@@ -66,11 +84,18 @@ def read_space(directory):
     for p in (opt_path, meta_path):
         if not os.path.exists(p):
             raise DataError(f"missing space file {p}")
-    with open(opt_path, encoding="utf-8") as fh:
-        options = tuple(line.rstrip("\n") for line in fh if line.strip())
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    return OptionSpace(options=options, template=meta["template"], name=meta.get("name", "default"))
+    options = tuple(line for line in _read_text(opt_path).split("\n") if line.strip())
+    try:
+        meta = json.loads(_read_text(meta_path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{meta_path}: bad JSON ({exc})") from exc
+    if not (type(meta) is dict and type(meta.get("template")) is str):
+        raise DataError(f"{meta_path}: expected an object with a string 'template'")
+    try:
+        return OptionSpace(options=options, template=meta["template"],
+                           name=meta.get("name", "default"))
+    except DataError as exc:  # duplicate labels or a template without one [LABEL]
+        raise DataError(f"{opt_path}, {meta_path}: {exc}") from exc
 
 
 def write_bundle(directory, splits, space):
@@ -80,8 +105,8 @@ def write_bundle(directory, splits, space):
     write_space(directory, space)
 
 
-def read_bundle(directory, require_vocab=False):
-    """(splits, space, vocab or None); gold indices validated against the space."""
+def _read_splits_and_space(directory):
+    """(splits, space) with every gold index checked against the space."""
     space = read_space(directory)
     splits = {}
     for split in SPLIT_NAMES:
@@ -90,8 +115,14 @@ def read_bundle(directory, require_vocab=False):
             raise DataError(f"missing split file {path}")
         splits[split] = read_instances(path)
         for inst in splits[split]:
-            if inst.gold and max(inst.gold) >= len(space):
-                raise DataError(f"{inst.id}: gold index out of range for {len(space)} options")
+            if inst.gold and not (min(inst.gold) >= 0 and max(inst.gold) < len(space)):
+                raise DataError(f"{path}: {inst.id}: gold index outside [0, {len(space)})")
+    return splits, space
+
+
+def read_bundle(directory, require_vocab=False):
+    """(splits, space, vocab or None); gold indices validated against the space."""
+    splits, space = _read_splits_and_space(directory)
     vocab_path = os.path.join(directory, "vocab.txt")
     vocab = Vocabulary.load(vocab_path) if os.path.exists(vocab_path) else None
     if require_vocab and vocab is None:
@@ -100,8 +131,9 @@ def read_bundle(directory, require_vocab=False):
 
 
 def build_bundle_vocab(directory, min_count=1):
-    """Fit vocab.txt from the train split plus the space's own token needs."""
-    splits, space, _ = read_bundle(directory)
+    """Fit vocab.txt from the train split plus the space's own token needs; an
+    existing vocab.txt is overwritten unread."""
+    splits, space = _read_splits_and_space(directory)
     corpus = [inst.premise for inst in splits["train"]] + space_corpus(space)
     vocab = build_vocab(corpus, min_count=min_count)
     vocab.save(os.path.join(directory, "vocab.txt"))
@@ -126,7 +158,6 @@ class RunConfig:
     seed: int = 0
     augment: bool = False
     negative_ratio: float = 1.0
-    rank_fill: bool = False
     early_stop: float = None
     layers: int = 2
     heads: int = 4
@@ -217,12 +248,6 @@ def apply_overrides(cfg, overrides):
     return cfg
 
 
-def write_resolved_config(path, cfg):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def encoder_config_from(cfg):
     return EncoderConfig(layers=cfg.layers, heads=cfg.heads, model_dim=cfg.model_dim,
                          ff_dim=cfg.ff_dim, max_len=cfg.max_len, dropout=cfg.dropout,
@@ -233,5 +258,4 @@ def train_config_from(cfg, mode=None):
     return TrainConfig(mode=mode or cfg.paradigm, k=cfg.k, epochs=cfg.epochs,
                        batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
                        seed=cfg.seed, augment=cfg.augment,
-                       negative_ratio=cfg.negative_ratio, rank_fill=cfg.rank_fill,
-                       early_stop=cfg.early_stop)
+                       negative_ratio=cfg.negative_ratio, early_stop=cfg.early_stop)

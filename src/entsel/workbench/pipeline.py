@@ -1,7 +1,11 @@
-"""End-to-end runs: retrieval, training, evaluation, ablation, k-sweep.
+"""End-to-end runs behind the CLI verbs retrieve, train, eval, bench, ablate
+and sweep-k. Each per-run decision is made in one place: `load_candidates`
+picks the pools (retrieve_k == 0 always means the full space, otherwise
+candidates.json must exist and match it), `_evaluate` picks tau (fit on dev
+exactly when multi_label and calibrate), `_start_run` opens a run that writes
+(after the verb's request checks) and `_load_trained` one that is read.
 
-Every run writes its resolved config and seed manifest into out_dir, and
-all outputs are deterministic functions of (data, config), so rerunning a
+All outputs are deterministic functions of (data, config), so rerunning a
 command reproduces identical bytes. Progress goes to stderr; artifacts to
 files only.
 """
@@ -9,7 +13,7 @@ files only.
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..encoder import EncoderModel, load_model
 from ..errors import DataError
@@ -18,8 +22,7 @@ from ..inference import (ParadigmConfig, bench, evaluate, write_bench_csv, write
 from ..retrieval import (build_index, rank_all, recall_from_rankings,
                          retrieve_candidates, train_bi_encoder)
 from ..training import calibrate_threshold, train, write_loss_csv, write_manifest
-from .datafiles import (encoder_config_from, read_bundle, train_config_from,
-                        write_resolved_config)
+from .datafiles import encoder_config_from, read_bundle, train_config_from, write_json
 from .reports import _md_table
 
 
@@ -41,9 +44,51 @@ def load_bundle_for(cfg):
                   enc_cfg=encoder_config_from(cfg))
 
 
+def _start_run(cfg, bundle):
+    """Create out_dir and write resolved_config.json, once retrieve_k fits the
+    space; every verb that produces a run calls it after its request checks."""
+    if cfg.retrieve_k > len(bundle.space):
+        raise DataError(f"retrieve_k {cfg.retrieve_k} exceeds space size {len(bundle.space)}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    write_json(os.path.join(cfg.out_dir, "resolved_config.json"), asdict(cfg), indent=2)
+
+
+def _load_trained(cfg, splits):
+    """(bundle, model, candidates) of a trained run; pools validated for `splits`."""
+    bundle = load_bundle_for(cfg)
+    ckpt = os.path.join(cfg.out_dir, "model.bin")
+    if not os.path.exists(ckpt):
+        raise DataError(f"no checkpoint at {ckpt}; train first")
+    return bundle, load_model(ckpt), load_candidates(cfg, bundle, splits)
+
+
 def _paradigm_config(cfg, mode, tau, candidates):
     return ParadigmConfig(mode=mode, k=cfg.k if mode == "parallel" else None,
                           tau=tau, candidates=candidates)
+
+
+def _calibrating(cfg):
+    return cfg.multi_label and cfg.calibrate
+
+
+def _split_cands(candidates, split):
+    return candidates[split] if candidates is not None else None
+
+
+def _evaluate(cfg, model, bundle, mode, candidates, split):
+    """Score `split` in `mode` over `candidates` (split -> pools; None = full
+    space). Tau is fit on dev exactly when `_calibrating(cfg)`; returns
+    (result, tau)."""
+    tau = cfg.tau
+    if _calibrating(cfg):
+        tau = calibrate_threshold(model, bundle.splits["dev"], bundle.space, bundle.vocab,
+                                  mode=mode, k=cfg.k,
+                                  candidates=_split_cands(candidates, "dev"))
+        _progress(f"calibrated tau = {tau:.2f}")
+    pcfg = _paradigm_config(cfg, mode, tau, _split_cands(candidates, split))
+    result = evaluate(model, bundle.splits[split], bundle.space, bundle.vocab, pcfg,
+                      multi_label=cfg.multi_label)
+    return result, tau
 
 
 def _fit_index(cfg, bundle):
@@ -58,32 +103,29 @@ def _fit_index(cfg, bundle):
 
 
 def build_retrieval(cfg, bundle):
-    """Fit the bi-encoder, index the space, retrieve top-k pools for every split,
-    and write them to out_dir/candidates.json.
-
-    Returns candidates_by_split; None when retrieve_k == 0.
-    """
-    if cfg.retrieve_k <= 0:
+    """Fit the bi-encoder, index the space, and retrieve top-k pools for every
+    split into out_dir/candidates.json; returns them (None when retrieve_k == 0)."""
+    if cfg.retrieve_k == 0:
         return None
-    if cfg.retrieve_k > len(bundle.space):
-        raise DataError(f"retrieve_k {cfg.retrieve_k} exceeds space size {len(bundle.space)}")
     bi_model, index = _fit_index(cfg, bundle)
     candidates = {split: retrieve_candidates(index, bi_model, bundle.vocab, insts,
                                              cfg.retrieve_k)
                   for split, insts in bundle.splits.items()}
-    with open(os.path.join(cfg.out_dir, "candidates.json"), "w", encoding="utf-8") as fh:
-        json.dump({"k": cfg.retrieve_k, "splits": candidates}, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(cfg.out_dir, "candidates.json"),
+               {"k": cfg.retrieve_k, "splits": candidates})
     return candidates
 
 
 def load_candidates(cfg, bundle, splits):
-    """out_dir/candidates.json validated whole (None when absent): "k" must equal
-    retrieve_k when > 0, and every id of each split in `splits` needs a
-    non-empty list of option indices. A fault raises DataError naming the file."""
+    """Pools by split; None (the full space) when retrieve_k == 0, whatever is on
+    disk. Otherwise out_dir/candidates.json must exist, its "k" must equal
+    retrieve_k, and every id of each split in `splits` needs a non-empty list
+    of option indices; a fault raises DataError naming the file."""
+    if cfg.retrieve_k == 0:
+        return None
     path = os.path.join(cfg.out_dir, "candidates.json")
     if not os.path.exists(path):
-        return None
+        raise DataError(f"no candidate pools at {path}; run retrieve or train first")
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -92,7 +134,7 @@ def load_candidates(cfg, bundle, splits):
     if not isinstance(payload, dict) or not isinstance(payload.get("splits"), dict):
         raise DataError(f"{path}: expected an object with a 'splits' object")
     k = payload.get("k")
-    if cfg.retrieve_k > 0 and (type(k) is not int or k != cfg.retrieve_k):
+    if type(k) is not int or k != cfg.retrieve_k:
         raise DataError(f"{path}: 'k' is {k!r} but retrieve_k is {cfg.retrieve_k}")
     n = len(bundle.space)
     for split in splits:
@@ -110,17 +152,12 @@ def load_candidates(cfg, bundle, splits):
     return payload["splits"]
 
 
-def _split_cands(candidates, split):
-    return candidates[split] if candidates is not None else None
-
-
 def retrieve_run(cfg):
     """Standalone retrieval: writes candidates.json and recall.csv."""
     if cfg.retrieve_k < 1:
         raise DataError("retrieve needs retrieve_k >= 1")
     bundle = load_bundle_for(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_resolved_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
+    _start_run(cfg, bundle)
     candidates = build_retrieval(cfg, bundle)
     recall = {split: recall_from_rankings(candidates[split], bundle.splits[split], cfg.retrieve_k)
               for split in ("dev", "test")}
@@ -132,8 +169,7 @@ def retrieve_run(cfg):
 def train_run(cfg):
     """Train one model per the config; writes checkpoint, loss curve, manifest."""
     bundle = load_bundle_for(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_resolved_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
+    _start_run(cfg, bundle)
     candidates = build_retrieval(cfg, bundle)
     model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
     tcfg = train_config_from(cfg)
@@ -150,65 +186,32 @@ def train_run(cfg):
                           "retrieve_k": cfg.retrieve_k, "vocab_size": len(bundle.vocab)})
     if report.dev_metrics:
         _progress(f"final dev metric {report.dev_metrics[-1]:.4f}")
-    return model, report, candidates
 
 
-def _pick_tau(cfg, model, bundle, candidates):
-    if not (cfg.multi_label and cfg.calibrate):
-        return cfg.tau
-    tau = calibrate_threshold(model, bundle.splits["dev"], bundle.space, bundle.vocab,
-                              mode=cfg.paradigm, k=cfg.k,
-                              candidates=_split_cands(candidates, "dev"))
-    _progress(f"calibrated tau = {tau:.2f}")
-    return tau
-
-
-def eval_run(cfg, model=None, candidates=None):
+def eval_run(cfg):
     """Evaluate the trained checkpoint on the test split; writes predictions + metrics."""
-    bundle = load_bundle_for(cfg)
-    if model is None:
-        ckpt = os.path.join(cfg.out_dir, "model.bin")
-        if not os.path.exists(ckpt):
-            raise DataError(f"no checkpoint at {ckpt}; train first")
-        model = load_model(ckpt)
-    if candidates is None:
-        calibrating = cfg.multi_label and cfg.calibrate
-        candidates = load_candidates(cfg, bundle, ("dev", "test") if calibrating else ("test",))
-    if cfg.retrieve_k > 0 and candidates is None:
-        raise DataError("retrieve_k > 0 but no candidates.json; run retrieve or train first")
-    tau = _pick_tau(cfg, model, bundle, candidates)
-    pcfg = _paradigm_config(cfg, cfg.paradigm, tau, _split_cands(candidates, "test"))
-    result = evaluate(model, bundle.splits["test"], bundle.space, bundle.vocab, pcfg,
-                      multi_label=cfg.multi_label)
+    splits = ("dev", "test") if _calibrating(cfg) else ("test",)
+    bundle, model, candidates = _load_trained(cfg, splits)
+    result, tau = _evaluate(cfg, model, bundle, cfg.paradigm, candidates, "test")
     write_predictions(os.path.join(cfg.out_dir, "predictions.jsonl"), result)
     payload = {"metrics": result.metrics, "tau": tau, "paradigm": cfg.paradigm,
                "forward_passes": result.ledger.forward_passes,
                "tokens_processed": result.ledger.tokens_processed}
-    with open(os.path.join(cfg.out_dir, "metrics.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(cfg.out_dir, "metrics.json"), payload, indent=2)
     _progress(f"test metrics {result.metrics}")
-    return result
 
 
-def bench_run(cfg, model=None, candidates=None):
+def bench_run(cfg):
     """Compare pairwise vs parallel inference cost on the test split."""
-    bundle = load_bundle_for(cfg)
-    if model is None:
-        model = load_model(os.path.join(cfg.out_dir, "model.bin"))
-    if candidates is None:
-        candidates = load_candidates(cfg, bundle, ("test",))
+    bundle, model, candidates = _load_trained(cfg, ("test",))
     instances = bundle.splits["test"]
     if cfg.bench_limit > 0:
         instances = instances[:cfg.bench_limit]
     test_cands = _split_cands(candidates, "test")
-    configs = [_paradigm_config(cfg, "te", cfg.tau, test_cands),
-               _paradigm_config(cfg, "parallel", cfg.tau, test_cands)]
+    configs = [_paradigm_config(cfg, mode, cfg.tau, test_cands) for mode in ("te", "parallel")]
     rows = bench(model, instances, bundle.space, bundle.vocab, configs,
                  repetitions=cfg.bench_repetitions)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_bench_csv(os.path.join(cfg.out_dir, "bench.csv"), rows)
-    return rows
 
 
 ABLATION_ROWS = (("te-full", "te", False),
@@ -226,30 +229,19 @@ def run_ablation(cfg):
     if cfg.retrieve_k < 1:
         raise DataError("ablation needs retrieve_k >= 1 for its top-k rows")
     bundle = load_bundle_for(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_resolved_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
+    _start_run(cfg, bundle)
     candidates = build_retrieval(cfg, bundle)
     rows = []
     for name, mode, use_topk in ABLATION_ROWS:
         _progress(f"ablation row {name}")
         row_cands = candidates if use_topk else None
         model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
-        tcfg = train_config_from(cfg, mode=mode)
-        train(model, bundle.splits["train"], bundle.space, bundle.vocab, tcfg,
-              candidates=_split_cands(row_cands, "train"))
-        if cfg.multi_label:
-            tau = calibrate_threshold(model, bundle.splits["dev"], bundle.space,
-                                      bundle.vocab, mode=mode, k=cfg.k,
-                                      candidates=_split_cands(row_cands, "dev"))
-        else:
-            tau = cfg.tau
-        pcfg = _paradigm_config(cfg, mode, tau, _split_cands(row_cands, "test"))
-        res = evaluate(model, bundle.splits["test"], bundle.space, bundle.vocab, pcfg,
-                       multi_label=cfg.multi_label)
+        train(model, bundle.splits["train"], bundle.space, bundle.vocab,
+              train_config_from(cfg, mode=mode), candidates=_split_cands(row_cands, "train"))
+        res, _ = _evaluate(cfg, model, bundle, mode, row_cands, "test")
         pool = f"top{cfg.retrieve_k}" if use_topk else "full"
-        n_cases = len(bundle.splits["test"])
         row = {"row": name, "paradigm": mode, "pool": pool,
-               "passes_per_case": res.ledger.forward_passes / n_cases}
+               "passes_per_case": res.ledger.forward_passes / len(bundle.splits["test"])}
         row.update({m: v for m, v in res.metrics.items() if m != "n"})
         rows.append(row)
     _write_ablation(cfg.out_dir, rows, cfg.multi_label)
@@ -274,38 +266,27 @@ def run_k_sweep(cfg, ks):
     """
     if not ks:
         raise DataError("sweep needs at least one k")
+    if cfg.retrieve_k < 1:
+        raise DataError("sweep needs retrieve_k >= 1 to fit the bi-encoder")
     bundle = load_bundle_for(cfg)
     n = len(bundle.space)
     for k in ks:
         if not 1 <= k <= n:
             raise DataError(f"sweep k {k} outside [1, {n}]")
-    if cfg.retrieve_k < 1:
-        raise DataError("sweep needs retrieve_k >= 1 to fit the bi-encoder")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    write_resolved_config(os.path.join(cfg.out_dir, "resolved_config.json"), cfg)
+    _start_run(cfg, bundle)
     bi_model, index = _fit_index(cfg, bundle)
     train_rank = rank_all(index, bi_model, bundle.vocab, bundle.splits["train"])
     dev_rank = rank_all(index, bi_model, bundle.vocab, bundle.splits["dev"])
     model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
     tcfg = train_config_from(cfg)
-    train_cands = {i: r[:cfg.retrieve_k] for i, r in train_rank.items()}
-    dev_cands = {i: r[:cfg.retrieve_k] for i, r in dev_rank.items()}
     _progress(f"sweep base training ({tcfg.mode})")
     train(model, bundle.splits["train"], bundle.space, bundle.vocab, tcfg,
-          candidates=train_cands)
-    dev = bundle.splits["dev"]
+          candidates={i: r[:cfg.retrieve_k] for i, r in train_rank.items()})
     rows = []
     for k in ks:
-        recall = recall_from_rankings(dev_rank, dev, k)
-        cands_k = {i: r[:k] for i, r in dev_rank.items()}
-        if cfg.multi_label:
-            tau = calibrate_threshold(model, dev, bundle.space, bundle.vocab,
-                                      mode=cfg.paradigm, k=cfg.k, candidates=cands_k)
-        else:
-            tau = cfg.tau
-        pcfg = _paradigm_config(cfg, cfg.paradigm, tau, cands_k)
-        res = evaluate(model, dev, bundle.space, bundle.vocab, pcfg,
-                       multi_label=cfg.multi_label)
+        recall = recall_from_rankings(dev_rank, bundle.splits["dev"], k)
+        res, _ = _evaluate(cfg, model, bundle, cfg.paradigm,
+                           {"dev": {i: r[:k] for i, r in dev_rank.items()}}, "dev")
         metric = res.metrics["f1" if cfg.multi_label else "accuracy"]
         rows.append((k, recall, metric))
         _progress(f"k={k} recall={recall:.4f} metric={metric:.4f}")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -139,6 +140,55 @@ def test_read_instances_rejects_bad_records(tmp_path):
         datafiles.read_instances(path)
 
 
+BAD_BUNDLE_FILES = (
+    ("space.json", '{"name": "x", "template": '),  # truncated JSON
+    ("space.json", '{"name": "x"}\n'),  # no template
+    ("space.json", '["[LABEL]"]\n'),
+    ("space.json", '{"template": "no label slot"}\n'),
+    ("options.txt", b"red\n\xff\n"),
+    ("vocab.txt", b"red\n\xff\n"),
+    ("vocab.txt", "red\nred\n"),
+    ("train.jsonl", b'{"id": "\xff", "text": "x", "gold": [0]}\n'),
+    ("train.jsonl", '[0]\n'),
+    ("train.jsonl", '{"id": 3, "text": "x", "gold": [0]}\n'),
+    ("train.jsonl", '{"id": "a", "text": ["x"], "gold": [0]}\n'),
+    ("train.jsonl", '{"id": "a", "text": "x", "gold": 0}\n'),
+    ("train.jsonl", '{"id": "a", "text": "x", "gold": ["0"]}\n'),
+    ("train.jsonl", '{"id": "a", "text": "x", "gold": [0.0]}\n'),
+    ("train.jsonl", '{"id": "a", "text": "x", "gold": [true]}\n'),
+    ("train.jsonl", '{"id": "a", "text": "x", "gold": [0], "entity": 1}\n'),
+    ("dev.jsonl", '{"id": "a", "text": "x", "gold": [-1]}\n'),
+    ("test.jsonl", '{"id": "a", "text": "x", "gold": [6]}\n'),
+)
+
+
+def test_cli_bad_bundle_files_exit_2(tmp_path, capsys):
+    make_bundle(tmp_path / "base")
+    for case, (name, content) in enumerate(BAD_BUNDLE_FILES):
+        data_dir = tmp_path / f"data{case}"
+        shutil.copytree(tmp_path / "base", data_dir)
+        path = data_dir / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        out_dir = tmp_path / f"out{case}"
+        cfg_path = make_config(tmp_path / "c.json", data_dir, out_dir)
+        capsys.readouterr()
+        assert cli.main(["train", "--config", cfg_path]) == 2, (name, content)
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err, (name, content, err)
+        assert not out_dir.exists(), (name, content)  # a rejected run writes nothing
+
+
+def test_build_vocab_repairs_a_corrupt_vocab(tmp_path):
+    make_bundle(tmp_path)
+    good = (tmp_path / "vocab.txt").read_bytes()
+    (tmp_path / "vocab.txt").write_bytes(b"red\n\xff\n")
+    assert cli.main(["build-vocab", "--data", str(tmp_path)]) == 0
+    assert (tmp_path / "vocab.txt").read_bytes() == good
+
+
 def test_run_config_load_and_overrides(tmp_path):
     cfg_path = make_config(tmp_path / "run.json", "d", "o")
     cfg = datafiles.load_run_config(cfg_path)
@@ -250,6 +300,9 @@ def test_cli_usage_errors_exit_1(run_area):
 def test_cli_data_errors_exit_2(run_area, tmp_path, capsys):
     root, data_dir, _, _ = run_area
     assert cli.main(["train", "--config", str(tmp_path / "nope.json")]) == 2
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tmp_path)]) == 2  # a directory
+    assert str(tmp_path) in capsys.readouterr().err
     assert cli.main(["synth", "--profile", "single_small", "--out",
                      str(tmp_path / "d"), "--n-train", "0"]) == 2
     bad_cfg = make_config(tmp_path / "c.json", data_dir, tmp_path / "empty")
@@ -329,6 +382,23 @@ def test_cli_eval_rejects_bad_candidates_file(tmp_path, capsys):
     code, err = eval_exit(text, "--set", "retrieve_k=2")
     assert code == 2 and str(path) in err and "retrieve_k" in err
 
+    # retrieve_k alone decides whether the pools on disk are read
+    out = tmp_path / "out"
+    assert json.loads((out / "metrics.json").read_text())["forward_passes"] == 4  # 4 x 1
+    assert cli.main(["eval", "--config", cfg_path, "--set", "retrieve_k=0"]) == 0
+    assert json.loads((out / "metrics.json").read_text())["forward_passes"] == 8  # 4 x 2
+    assert cli.main(["bench", "--config", cfg_path]) == 0
+    assert (out / "bench.csv").read_text().splitlines()[1].startswith("te,3,1,3,")
+    assert cli.main(["bench", "--config", cfg_path, "--set", "retrieve_k=0"]) == 0
+    assert (out / "bench.csv").read_text().splitlines()[1].startswith("te,6,1,6,")
+    path.unlink()
+    for verb in ("eval", "bench"):
+        capsys.readouterr()
+        assert cli.main([verb, "--config", cfg_path]) == 2, verb
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err, verb
+    assert cli.main(["eval", "--config", cfg_path, "--set", "retrieve_k=0"]) == 0
+
 
 def test_ablation_rows_and_reproducibility(tmp_path):
     make_bundle(tmp_path / "data", n_train=8, n_dev=3, n_test=3)
@@ -369,6 +439,31 @@ def test_k_sweep_recall_monotone(tmp_path):
         pipeline.run_k_sweep(cfg, [0])
     with pytest.raises(DataError):
         pipeline.run_k_sweep(cfg, [7])
+
+
+def test_tau_is_calibrated_exactly_when_asked(tmp_path, monkeypatch):
+    splits, space = synth("multi_large", n_options=8, n_train=8, n_dev=3, n_test=3, seed=2)
+    datafiles.write_bundle(str(tmp_path / "data"), splits, space)
+    datafiles.build_bundle_vocab(str(tmp_path / "data"))
+    cfg_path = make_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out",
+                           multi_label=True, retrieve_k=4, epochs=1, tau=0.5)
+    calls = []
+
+    def fake_calibrate(*args, **kwargs):
+        calls.append(kwargs["mode"])
+        return 0.25
+    monkeypatch.setattr(pipeline, "calibrate_threshold", fake_calibrate)
+    assert cli.main(["train", "--config", cfg_path]) == 0
+    for verb, extra, n_fits in (("eval", [], 1), ("ablate", [], 4),
+                                ("sweep-k", ["--ks", "2,4"], 2)):
+        for calibrate, want in (("false", 0), ("true", n_fits)):
+            calls.clear()
+            assert cli.main([verb, "--config", cfg_path, "--set",
+                             f"calibrate={calibrate}", *extra]) == 0, verb
+            assert len(calls) == want, (verb, calibrate, calls)
+            if verb == "eval":
+                tau = json.loads((tmp_path / "out" / "metrics.json").read_text())["tau"]
+                assert tau == (0.25 if want else 0.5)
 
 
 # ---------------------------------------------------------------------------
