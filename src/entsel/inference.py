@@ -2,9 +2,10 @@
 
 Pairwise scoring runs one forward pass per option; parallel scoring chunks
 the option list and runs one pass per chunk, so its ledger shows ceil(n/k)
-passes. All scoring here is eval-mode (no dropout, no autodiff tape).
-Same-shape layouts are executed as fused groups for speed; the ledger still
-counts one pass per layout.
+passes. Both hand their layouts to one scoring step, `_score_layouts`, which
+runs same-shape layouts as fused groups for speed (the ledger still counts
+one pass per layout) and reads each scored option off its layout's head row.
+All scoring here is eval-mode (no dropout, no autodiff tape).
 """
 
 import json
@@ -27,16 +28,10 @@ class ScoredOption(NamedTuple):
 class CostLedger:
     forward_passes: int = 0
     tokens_processed: int = 0
-    wall_seconds: float = 0.0
-
-    def count(self, n_tokens):
-        self.forward_passes += 1
-        self.tokens_processed += n_tokens
 
     def merge(self, other):
         self.forward_passes += other.forward_passes
         self.tokens_processed += other.tokens_processed
-        self.wall_seconds += other.wall_seconds
 
 
 @dataclass
@@ -44,7 +39,7 @@ class ParadigmConfig:
     """How to score and select at inference time."""
 
     mode: str  # te | context | parallel
-    k: int = None  # chunk size for parallel scoring
+    k: int = None  # chunk size; only parallel scoring reads it
     tau: float = 0.5  # multi-label threshold
     candidates: dict = None  # instance id -> option indices; None = full space
 
@@ -55,27 +50,27 @@ class ParadigmConfig:
             raise DataError("parallel scoring needs k >= 1")
 
 
-def _entail_probs(model, layouts):
-    """p(entail) per layout, computed in same-length fused groups."""
-    out = [0.0] * len(layouts)
-    for members, ids in fused_groups([lay.ids for lay in layouts]):
-        reps = encode_batch(model, ids, train_mode=False)
-        probs = classify_pairs_batch(model, reps, *ids.shape)
-        for row, pos in enumerate(members):
-            out[pos] = float(probs.data[row, 0])
-    return out
+def _score_layouts(model, layouts, parallel):
+    """(scored, ledger): one pass per layout, same-shape layouts fused.
 
-
-def _span_scores(model, layouts):
-    """Per-option score rows for parallel layouts, fused by (length, spans)."""
-    out = [None] * len(layouts)
-    for members, ids in fused_groups([lay.ids for lay in layouts],
-                                     [(len(lay.ids), lay.option_spans) for lay in layouts]):
+    Column j of a layout's head row scores option_indices[j]. Pairwise
+    layouts get [g x 2] probabilities, so their one option scores column 0,
+    p(entail); parallel layouts get one sigmoid score per option span.
+    """
+    keys = [(len(lay.ids), lay.option_spans) for lay in layouts] if parallel else None
+    rows = [None] * len(layouts)
+    for members, ids in fused_groups([lay.ids for lay in layouts], keys):
         reps = encode_batch(model, ids, train_mode=False)
-        smat = score_options_batch(model, reps, *ids.shape, layouts[members[0]].option_spans)
+        if parallel:
+            head = score_options_batch(model, reps, *ids.shape,
+                                       layouts[members[0]].option_spans)
+        else:
+            head = classify_pairs_batch(model, reps, *ids.shape)
         for row, pos in enumerate(members):
-            out[pos] = smat.data[row]
-    return out
+            rows[pos] = head.data[row]
+    scored = [ScoredOption(i, float(s)) for lay, row in zip(layouts, rows)
+              for i, s in zip(lay.option_indices, row)]
+    return scored, CostLedger(len(layouts), sum(len(lay.ids) for lay in layouts))
 
 
 def score_pairwise(model, instance, option_indices, mode, space, vocab):
@@ -86,33 +81,17 @@ def score_pairwise(model, instance, option_indices, mode, space, vocab):
     """
     if mode not in ("te", "context"):
         raise DataError(f"pairwise scoring mode must be te or context, got {mode!r}")
-    ledger = CostLedger()
-    t0 = time.perf_counter()
-    layouts = [make_te_pair(instance, idx, space, vocab, model.config.max_len)
-               for idx in option_indices]
-    entail = _entail_probs(model, layouts)
-    for lay in layouts:
-        ledger.count(len(lay.ids))
-    scored = [ScoredOption(idx, p) for idx, p in zip(option_indices, entail)]
-    ledger.wall_seconds = time.perf_counter() - t0
-    return scored, ledger
+    return _score_layouts(model, [make_te_pair(instance, idx, space, vocab, model.config.max_len)
+                                  for idx in option_indices], parallel=False)
 
 
 def score_parallel(model, instance, option_indices, k, space, vocab):
     """Chunked multi-hypothesis scoring: one forward pass per ceil(n/k) chunk."""
     if k < 1:
         raise DataError("k must be >= 1")
-    ledger = CostLedger()
-    scored = []
-    t0 = time.perf_counter()
-    layouts = [make_parallel_pair(instance, chunk, space, vocab, model.config.max_len)
-               for chunk in chunk_options(option_indices, k)]
-    rows = _span_scores(model, layouts)
-    for lay, row in zip(layouts, rows):
-        scored.extend(ScoredOption(i, float(s)) for i, s in zip(lay.option_indices, row))
-        ledger.count(len(lay.ids))
-    ledger.wall_seconds = time.perf_counter() - t0
-    return scored, ledger
+    return _score_layouts(model, [make_parallel_pair(instance, chunk, space, vocab,
+                                                     model.config.max_len)
+                                  for chunk in chunk_options(option_indices, k)], parallel=True)
 
 
 def select_single(scored):

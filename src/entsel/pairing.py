@@ -1,11 +1,14 @@
 """Input construction for all three scoring paradigms.
 
-Layouts are token sequences [CLS] premise [SEP] hyp [SEP] ... hyp [SEP] with
-recorded premise/hypothesis spans (separator tokens excluded from spans).
-The premise end is the only part ever truncated; hypotheses stay intact.
+Every layout is [CLS] P [SEP] H_1 [SEP] ... H_m [SEP], built by one builder,
+`_layout`. The paradigms differ only in how many of the H are scored: TE
+scores its one H; Context-TE scores H_1 and appends k unscored rivals after
+it; Parallel-TE scores all m. Scored hypotheses carry a span (separators
+excluded), an option index and a gold label. The premise end is the only
+part ever truncated; hypotheses stay intact.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError, LayoutError
 from .text import CLS_ID, SEP_ID
@@ -45,35 +48,13 @@ class SelectionInstance:
 
 @dataclass(frozen=True)
 class LayoutedInput:
-    """Encoded (P, H_1..H_k) sequence with span bookkeeping.
-
-    labels[i] is the gold membership of option_indices[i]; pairwise and
-    contextualized layouts carry exactly one labeled option (see .label).
-    Context options are tracked separately and carry no labels.
-    """
+    """Encoded (P, H_1..H_m) sequence; labels[j] is the gold membership of
+    option_indices[j], whose hypothesis occupies ids[slice(*option_spans[j])]."""
 
     ids: tuple
-    premise_span: tuple
     option_spans: tuple
     option_indices: tuple
     labels: tuple
-    context_indices: tuple = field(default=())
-    context_spans: tuple = field(default=())
-
-    def __post_init__(self):
-        if not self.ids or self.ids[0] != CLS_ID:
-            raise LayoutError("layout must start with [CLS]")
-        if not (len(self.option_spans) == len(self.option_indices) == len(self.labels)):
-            raise LayoutError("option spans, indices, and labels must align")
-
-    @property
-    def label(self):
-        if len(self.labels) != 1:
-            raise LayoutError("label is only defined for single-option layouts")
-        return self.labels[0]
-
-    def __len__(self):
-        return len(self.ids)
 
 
 def verbalize(space, option_index, entity=None):
@@ -88,34 +69,30 @@ def verbalize(space, option_index, entity=None):
     return text
 
 
-def _assemble(premise_ids, hypothesis_ids, max_len):
-    """[CLS] premise [SEP] h [SEP] ... with premise-end truncation only."""
-    for h in hypothesis_ids:
-        if not h:
-            raise LayoutError("hypothesis verbalized to an empty token sequence")
-    overhead = 2 + sum(len(h) + 1 for h in hypothesis_ids)
-    budget = max_len - overhead
-    if budget < min(1, len(premise_ids)):
+def _layout(instance, options, n_scored, space, vocab, max_len):
+    """[CLS] P [SEP] H_1 [SEP] ... H_m [SEP] over `options`; the first
+    n_scored hypotheses are scored, the rest are unscored context."""
+    hyps = [vocab.encode(verbalize(space, i, instance.entity)) for i in options]
+    if not all(hyps):
+        raise LayoutError("hypothesis verbalized to an empty token sequence")
+    premise = vocab.encode(instance.premise)
+    budget = max_len - 2 - sum(len(h) + 1 for h in hyps)
+    if budget < min(1, len(premise)):
         raise LayoutError(f"hypotheses alone exceed max_len {max_len}")
-    premise = premise_ids[:budget] if budget < len(premise_ids) else premise_ids
-    ids = [CLS_ID] + list(premise) + [SEP_ID]
-    premise_span = (1, 1 + len(premise))
+    ids = [CLS_ID] + premise[:budget] + [SEP_ID]
     spans = []
-    for h in hypothesis_ids:
-        start = len(ids)
-        ids.extend(h)
-        ids.append(SEP_ID)
-        spans.append((start, start + len(h)))
-    return tuple(ids), premise_span, tuple(spans)
+    for h in hyps:
+        spans.append((len(ids), len(ids) + len(h)))
+        ids += h + [SEP_ID]
+    scored = tuple(options[:n_scored])
+    return LayoutedInput(ids=tuple(ids), option_spans=tuple(spans[:n_scored]),
+                         option_indices=scored,
+                         labels=tuple(i in instance.gold for i in scored))
 
 
 def make_te_pair(instance, option_index, space, vocab, max_len):
     """Pairwise layout [CLS] P [SEP] H [SEP]; label = gold membership."""
-    hyp = vocab.encode(verbalize(space, option_index, instance.entity))
-    ids, premise_span, spans = _assemble(vocab.encode(instance.premise), [hyp], max_len)
-    return LayoutedInput(ids=ids, premise_span=premise_span, option_spans=spans,
-                         option_indices=(option_index,),
-                         labels=(option_index in instance.gold,))
+    return _layout(instance, [option_index], 1, space, vocab, max_len)
 
 
 def make_context_pair(instance, option_index, context_pool, k, rng, space, vocab, max_len):
@@ -131,27 +108,17 @@ def make_context_pair(instance, option_index, context_pool, k, rng, space, vocab
     if len(pool) < k:
         raise DataError(f"context pool of {len(pool)} cannot supply k={k} options")
     chosen = [pool[i] for i in rng.choice(len(pool), size=k, replace=False)] if k else []
-    hyps = [vocab.encode(verbalize(space, i, instance.entity))
-            for i in [option_index] + chosen]
-    ids, premise_span, spans = _assemble(vocab.encode(instance.premise), hyps, max_len)
-    return LayoutedInput(ids=ids, premise_span=premise_span, option_spans=spans[:1],
-                         option_indices=(option_index,),
-                         labels=(option_index in instance.gold,),
-                         context_indices=tuple(chosen), context_spans=spans[1:])
+    return _layout(instance, [option_index] + chosen, 1, space, vocab, max_len)
 
 
 def make_parallel_pair(instance, option_indices, space, vocab, max_len):
-    """Multi-hypothesis layout; every option keeps its own gold label."""
-    option_indices = tuple(option_indices)
+    """Multi-hypothesis layout; every option is scored with its own gold label."""
+    option_indices = list(option_indices)
     if len(set(option_indices)) != len(option_indices):
         raise DataError("parallel layout options must be distinct")
     if not option_indices:
         raise DataError("parallel layout needs at least one option")
-    hyps = [vocab.encode(verbalize(space, i, instance.entity)) for i in option_indices]
-    ids, premise_span, spans = _assemble(vocab.encode(instance.premise), hyps, max_len)
-    return LayoutedInput(ids=ids, premise_span=premise_span, option_spans=spans,
-                         option_indices=option_indices,
-                         labels=tuple(i in instance.gold for i in option_indices))
+    return _layout(instance, option_indices, len(option_indices), space, vocab, max_len)
 
 
 def shuffle_augment(instance, option_indices, k, rng, space, vocab, max_len):

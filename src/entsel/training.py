@@ -1,9 +1,14 @@
-"""Losses, Adam, epoch loops for the three paradigms, and threshold calibration.
+"""Losses, Adam, the epoch loop for the three paradigms, and threshold calibration.
 
 Training is deterministic given (config.seed, model seed): every random
-choice flows through one np.random.Generator in a fixed order. Context mode
-with k=0 consumes the generator identically to te mode, so their loss
-sequences match exactly (an invariant the tests pin down).
+choice flows through one np.random.Generator, and only the epoch builders
+draw from it, each epoch before its first step. `_epoch_pairs` draws each
+instance's negatives, then the epoch permutation, then (context mode with
+k > 0) one context count and context set per layout in permuted order.
+`_epoch_parallel` draws each instance's gold subset, fill options and slot
+order (or augmentation), then the epoch permutation. Context mode with k=0
+consumes the generator identically to te mode, so their loss sequences
+match exactly (an invariant the tests pin down).
 """
 
 import dataclasses
@@ -13,8 +18,7 @@ import time
 import numpy as np
 
 from . import numerics as nm
-from .encoder import (classify_pairs_batch, encode_batch, fused_groups, save_model,
-                      score_options_batch)
+from .encoder import classify_pairs_batch, encode_batch, fused_groups, score_options_batch
 from .errors import DataError, NumericError, ShapeError
 from .inference import (ParadigmConfig, evaluate, example_averaged_prf, option_pool,
                         score_instance, write_csv)
@@ -132,11 +136,10 @@ class TrainReport:
     losses: list  # one entry per optimizer step
     dev_metrics: list  # one entry per epoch, empty without a dev set
     epoch_seconds: list
-    checkpoint_path: str = None
 
 
-def _epoch_pairs(instances, space, config, candidates, rng):
-    """(instance, option, label) triples: all golds plus sampled negatives."""
+def _epoch_pairs(instances, space, config, candidates, rng, vocab, max_len):
+    """Shuffled pair layouts: all golds plus sampled negatives per instance."""
     examples = []
     for inst in instances:
         pool = option_pool(inst, space, candidates)
@@ -146,10 +149,25 @@ def _epoch_pairs(instances, space, config, candidates, rng):
             raise DataError(f"no negative options in the pool for instance {inst.id!r}")
         n_neg = min(len(neg_pool), max(1, round(len(golds) * config.negative_ratio)))
         picked = rng.choice(len(neg_pool), size=n_neg, replace=False)
-        examples.extend((inst, g, True) for g in golds)
-        examples.extend((inst, neg_pool[int(j)], False) for j in picked)
-    order = rng.permutation(len(examples))
-    return [examples[int(i)] for i in order]
+        examples.extend((inst, g) for g in golds)
+        examples.extend((inst, neg_pool[int(j)]) for j in picked)
+    layouts = []
+    for i in rng.permutation(len(examples)):
+        inst, option = examples[int(i)]
+        if config.mode == "context" and config.k > 0:
+            # competing contexts are non-gold rivals: a gold option showing up
+            # as context inside a negative layout would force the encoder to
+            # learn position-sensitive matching before it can learn matching
+            # at all. The context count is resampled per layout from {0..k}
+            # so training also covers the bare (P,H) layouts of inference.
+            ctx_pool = [o for o in option_pool(inst, space, candidates)
+                        if o != option and o not in inst.gold]
+            k_eff = min(int(rng.integers(0, config.k + 1)), len(ctx_pool))
+            layouts.append(make_context_pair(inst, option, ctx_pool, k_eff, rng,
+                                             space, vocab, max_len))
+        else:
+            layouts.append(make_te_pair(inst, option, space, vocab, max_len))
+    return layouts
 
 
 def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
@@ -175,8 +193,6 @@ def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
         fills = [fill_pool[int(i)] for i in idx]
         opts = keep + fills
         if config.augment:
-            if len(keep) != 1:
-                raise DataError("shuffle augmentation needs exactly one gold per layout")
             layouts.extend(shuffle_augment(inst, opts, len(opts), rng, space, vocab, max_len))
         else:
             perm = rng.permutation(len(opts))
@@ -186,28 +202,15 @@ def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
     return [layouts[int(i)] for i in order]
 
 
-def _pair_layout(inst, option, config, pool, rng, space, vocab, max_len):
-    if config.mode == "context" and config.k > 0:
-        # competing contexts are non-gold rivals: a gold option showing up as
-        # context inside a negative layout would force the encoder to learn
-        # position-sensitive matching before it can learn matching at all.
-        # The context count is resampled per layout from {0..k} so training
-        # also covers the bare (P,H) layouts used at inference time.
-        ctx_pool = [o for o in pool if o != option and o not in inst.gold]
-        k_eff = min(int(rng.integers(0, config.k + 1)), len(ctx_pool))
-        return make_context_pair(inst, option, ctx_pool, k_eff, rng, space, vocab, max_len)
-    return make_te_pair(inst, option, space, vocab, max_len)
-
-
-def _pair_batch_loss(model, pairs):
-    """Mean ce_loss over (layout, label) pairs, fused by sequence length."""
+def _pair_batch_loss(model, layouts):
+    """Mean ce_loss of the layouts' one scored option, fused by sequence length."""
     total = None
-    for members, ids in fused_groups([lay.ids for lay, _ in pairs]):
+    for members, ids in fused_groups([lay.ids for lay in layouts]):
         reps = encode_batch(model, ids, train_mode=True)
         probs = classify_pairs_batch(model, reps, *ids.shape)
-        nll = ce_loss(probs, [pairs[p][1] for p in members])
+        nll = ce_loss(probs, [layouts[p].labels[0] for p in members])
         total = nll if total is None else nm.add(total, nll)
-    return nm.mul_scalar(total, 1.0 / len(pairs))
+    return nm.mul_scalar(total, 1.0 / len(layouts))
 
 
 def _parallel_batch_loss(model, layouts):
@@ -225,7 +228,7 @@ def _parallel_batch_loss(model, layouts):
 
 
 def train(model, dataset, space, vocab, config, dev=None, candidates=None,
-          dev_candidates=None, multi_label=False, checkpoint_path=None):
+          dev_candidates=None, multi_label=False):
     """Run the configured paradigm's epoch loop; returns the loss/metric trace.
 
     `candidates` optionally maps instance id to a retrieved option pool
@@ -235,40 +238,25 @@ def train(model, dataset, space, vocab, config, dev=None, candidates=None,
     if not dataset:
         raise DataError("training dataset is empty")
     rng = np.random.default_rng(config.seed)
-    max_len = model.config.max_len
-
-    def build_epoch():
-        if config.mode == "parallel":
-            return _epoch_parallel(dataset, space, config, candidates, rng, vocab, max_len)
-        return _epoch_pairs(dataset, space, config, candidates, rng)
-
-    # every epoch has epoch 0's size; Adam draws nothing from rng, so building
-    # epoch 0 first leaves the random stream as it was
-    t0 = time.perf_counter()
-    epoch_items = build_epoch()
-    total_steps = config.epochs * math.ceil(len(epoch_items) / config.batch_size)
-    opt = Adam(model.parameters(), lr=config.learning_rate,
-               warmup_steps=max(1, math.ceil(0.05 * total_steps)),
-               total_steps=total_steps)
+    if config.mode == "parallel":
+        build_epoch, batch_loss = _epoch_parallel, _parallel_batch_loss
+    else:
+        build_epoch, batch_loss = _epoch_pairs, _pair_batch_loss
+    opt = None
     losses, dev_metrics, epoch_seconds = [], [], []
     for epoch in range(config.epochs):
-        if epoch:
-            t0 = time.perf_counter()
-            epoch_items = build_epoch()
-        for start in range(0, len(epoch_items), config.batch_size):
-            batch = epoch_items[start:start + config.batch_size]
+        t0 = time.perf_counter()
+        layouts = build_epoch(dataset, space, config, candidates, rng, vocab,
+                              model.config.max_len)
+        if opt is None:  # every epoch has epoch 0's size; Adam draws nothing from rng
+            total_steps = config.epochs * math.ceil(len(layouts) / config.batch_size)
+            opt = Adam(model.parameters(), lr=config.learning_rate,
+                       warmup_steps=max(1, math.ceil(0.05 * total_steps)),
+                       total_steps=total_steps)
+        for start in range(0, len(layouts), config.batch_size):
             opt.zero_grad()
-            if config.mode != "parallel":
-                # layout construction consumes the rng; keep it in batch order
-                batch = [(_pair_layout(inst, option, config,
-                                       option_pool(inst, space, candidates),
-                                       rng, space, vocab, max_len), label)
-                         for inst, option, label in batch]
             with nm.ComputeGraph():
-                if config.mode == "parallel":
-                    total = _parallel_batch_loss(model, batch)
-                else:
-                    total = _pair_batch_loss(model, batch)
+                total = batch_loss(model, layouts[start:start + config.batch_size])
                 nm.backward(total)
             value = total.item()
             if not math.isfinite(value):
@@ -277,18 +265,13 @@ def train(model, dataset, space, vocab, config, dev=None, candidates=None,
             opt.step()
         epoch_seconds.append(time.perf_counter() - t0)
         if dev is not None:
-            cfg = ParadigmConfig(mode=config.mode,
-                                 k=config.k if config.mode == "parallel" else None,
-                                 candidates=dev_candidates)
+            cfg = ParadigmConfig(mode=config.mode, k=config.k, candidates=dev_candidates)
             res = evaluate(model, dev, space, vocab, cfg, multi_label=multi_label)
             metric = res.metrics["f1" if multi_label else "accuracy"]
             dev_metrics.append(metric)
             if config.early_stop is not None and metric >= config.early_stop:
                 break
-    if checkpoint_path is not None:
-        save_model(model, checkpoint_path)
-    return TrainReport(losses=losses, dev_metrics=dev_metrics,
-                       epoch_seconds=epoch_seconds, checkpoint_path=checkpoint_path)
+    return TrainReport(losses=losses, dev_metrics=dev_metrics, epoch_seconds=epoch_seconds)
 
 
 def scan_threshold(per_instance_scores, golds):

@@ -43,6 +43,18 @@ def _read_text(path):
         raise DataError(f"{path}: not valid UTF-8 ({exc})") from exc
 
 
+def read_json_object(path):
+    """The JSON object in `path`; bad UTF-8, bad JSON or a JSON value of
+    another type raises DataError naming the file."""
+    try:
+        payload = json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: bad JSON ({exc})") from exc
+    if type(payload) is not dict:
+        raise DataError(f"{path}: expected a JSON object")
+    return payload
+
+
 def read_instances(path):
     instances, seen = [], set()
     for line_no, line in enumerate(_read_text(path).split("\n"), 1):
@@ -85,11 +97,8 @@ def read_space(directory):
         if not os.path.exists(p):
             raise DataError(f"missing space file {p}")
     options = tuple(line for line in _read_text(opt_path).split("\n") if line.strip())
-    try:
-        meta = json.loads(_read_text(meta_path))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{meta_path}: bad JSON ({exc})") from exc
-    if not (type(meta) is dict and type(meta.get("template")) is str):
+    meta = read_json_object(meta_path)
+    if type(meta.get("template")) is not str:
         raise DataError(f"{meta_path}: expected an object with a string 'template'")
     try:
         return OptionSpace(options=options, template=meta["template"],
@@ -175,11 +184,12 @@ class RunConfig:
     bench_limit: int = 0  # cap on benchmarked instances; 0 = all
 
     def __post_init__(self):
-        # the fields that never reach TrainConfig, which checks its own
+        # the fields that never reach TrainConfig; building one checks the rest
         for name, low in (("bi_epochs", 1), ("bi_batch_size", 2), ("bench_repetitions", 3),
                           ("bench_limit", 0), ("retrieve_k", 0)):
             if getattr(self, name) < low:
                 raise DataError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        train_config_from(self)
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
@@ -196,23 +206,22 @@ def _check_type(name, value):
 
 
 def load_run_config(path, overrides=()):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: bad JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise DataError(f"{path}: a config must be a JSON object")
+    """The RunConfig of a JSON file with `key=value` overrides applied on top;
+    every rule (RunConfig's and TrainConfig's) is checked once, on the result."""
+    raw = read_json_object(path)
     unknown = set(raw) - set(_FIELD_TYPES)
     if unknown:
         raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
     try:
         for name, value in raw.items():
             _check_type(name, value)
-        cfg = RunConfig(**raw)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+    raw.update(_parse_overrides(overrides))
+    try:
+        return RunConfig(**raw)
     except (DataError, TypeError) as exc:  # TypeError: a required key is missing
         raise DataError(f"{path}: {exc}") from exc
-    return apply_overrides(cfg, overrides)
 
 
 def _coerce(name, text):
@@ -237,15 +246,17 @@ def _coerce(name, text):
         raise DataError(f"{name} expects {parse.__name__}, got {text!r}") from exc
 
 
-def apply_overrides(cfg, overrides):
+def _parse_overrides(overrides):
+    """{key: typed value} of `key=value` items; a later item wins."""
+    out = {}
     for item in overrides:
         if "=" not in item:
             raise DataError(f"override {item!r} must look like key=value")
         name, text = item.split("=", 1)
         if name not in _FIELD_TYPES:
             raise DataError(f"unknown config key {name!r}")
-        cfg = dataclasses.replace(cfg, **{name: _coerce(name, text)})
-    return cfg
+        out[name] = _coerce(name, text)
+    return out
 
 
 def encoder_config_from(cfg):

@@ -10,19 +10,19 @@ command reproduces identical bytes. Progress goes to stderr; artifacts to
 files only.
 """
 
-import json
 import os
 import sys
 from dataclasses import asdict, dataclass
 
-from ..encoder import EncoderModel, load_model
+from ..encoder import EncoderModel, load_model, save_model
 from ..errors import DataError
 from ..inference import (ParadigmConfig, bench, evaluate, write_bench_csv, write_csv,
                          write_predictions)
 from ..retrieval import (build_index, rank_all, recall_from_rankings,
                          retrieve_candidates, train_bi_encoder)
 from ..training import calibrate_threshold, train, write_loss_csv, write_manifest
-from .datafiles import encoder_config_from, read_bundle, train_config_from, write_json
+from .datafiles import (encoder_config_from, read_bundle, read_json_object, train_config_from,
+                        write_json)
 from .reports import _md_table
 
 
@@ -54,17 +54,17 @@ def _start_run(cfg, bundle):
 
 
 def _load_trained(cfg, splits):
-    """(bundle, model, candidates) of a trained run; pools validated for `splits`."""
+    """(bundle, model, candidates) of a trained run; the checkpoint must match the
+    bundle's vocab, and pools are validated for `splits`."""
     bundle = load_bundle_for(cfg)
     ckpt = os.path.join(cfg.out_dir, "model.bin")
     if not os.path.exists(ckpt):
         raise DataError(f"no checkpoint at {ckpt}; train first")
-    return bundle, load_model(ckpt), load_candidates(cfg, bundle, splits)
-
-
-def _paradigm_config(cfg, mode, tau, candidates):
-    return ParadigmConfig(mode=mode, k=cfg.k if mode == "parallel" else None,
-                          tau=tau, candidates=candidates)
+    model = load_model(ckpt)
+    if model.vocab_size != len(bundle.vocab):
+        raise DataError(f"{ckpt} was trained on {model.vocab_size} vocab entries but "
+                        f"{os.path.join(cfg.data_dir, 'vocab.txt')} has {len(bundle.vocab)}")
+    return bundle, model, load_candidates(cfg, bundle, splits)
 
 
 def _calibrating(cfg):
@@ -85,7 +85,8 @@ def _evaluate(cfg, model, bundle, mode, candidates, split):
                                   mode=mode, k=cfg.k,
                                   candidates=_split_cands(candidates, "dev"))
         _progress(f"calibrated tau = {tau:.2f}")
-    pcfg = _paradigm_config(cfg, mode, tau, _split_cands(candidates, split))
+    pcfg = ParadigmConfig(mode=mode, k=cfg.k, tau=tau,
+                          candidates=_split_cands(candidates, split))
     result = evaluate(model, bundle.splits[split], bundle.space, bundle.vocab, pcfg,
                       multi_label=cfg.multi_label)
     return result, tau
@@ -126,12 +127,8 @@ def load_candidates(cfg, bundle, splits):
     path = os.path.join(cfg.out_dir, "candidates.json")
     if not os.path.exists(path):
         raise DataError(f"no candidate pools at {path}; run retrieve or train first")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise DataError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or not isinstance(payload.get("splits"), dict):
+    payload = read_json_object(path)
+    if not isinstance(payload.get("splits"), dict):
         raise DataError(f"{path}: expected an object with a 'splits' object")
     k = payload.get("k")
     if type(k) is not int or k != cfg.retrieve_k:
@@ -178,8 +175,8 @@ def train_run(cfg):
                    dev=bundle.splits["dev"],
                    candidates=_split_cands(candidates, "train"),
                    dev_candidates=_split_cands(candidates, "dev"),
-                   multi_label=cfg.multi_label,
-                   checkpoint_path=os.path.join(cfg.out_dir, "model.bin"))
+                   multi_label=cfg.multi_label)
+    save_model(model, os.path.join(cfg.out_dir, "model.bin"))
     write_loss_csv(os.path.join(cfg.out_dir, "loss.csv"), report)
     write_manifest(os.path.join(cfg.out_dir, "manifest.txt"), tcfg,
                    extra={"data_dir": cfg.data_dir, "model_seed": cfg.model_seed,
@@ -208,7 +205,8 @@ def bench_run(cfg):
     if cfg.bench_limit > 0:
         instances = instances[:cfg.bench_limit]
     test_cands = _split_cands(candidates, "test")
-    configs = [_paradigm_config(cfg, mode, cfg.tau, test_cands) for mode in ("te", "parallel")]
+    configs = [ParadigmConfig(mode=mode, k=cfg.k, tau=cfg.tau, candidates=test_cands)
+               for mode in ("te", "parallel")]
     rows = bench(model, instances, bundle.space, bundle.vocab, configs,
                  repetitions=cfg.bench_repetitions)
     write_bench_csv(os.path.join(cfg.out_dir, "bench.csv"), rows)
@@ -228,16 +226,17 @@ def run_ablation(cfg):
     """
     if cfg.retrieve_k < 1:
         raise DataError("ablation needs retrieve_k >= 1 for its top-k rows")
+    tcfgs = [train_config_from(cfg, mode=mode) for _, mode, _ in ABLATION_ROWS]
     bundle = load_bundle_for(cfg)
     _start_run(cfg, bundle)
     candidates = build_retrieval(cfg, bundle)
     rows = []
-    for name, mode, use_topk in ABLATION_ROWS:
+    for (name, mode, use_topk), tcfg in zip(ABLATION_ROWS, tcfgs):
         _progress(f"ablation row {name}")
         row_cands = candidates if use_topk else None
         model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
-        train(model, bundle.splits["train"], bundle.space, bundle.vocab,
-              train_config_from(cfg, mode=mode), candidates=_split_cands(row_cands, "train"))
+        train(model, bundle.splits["train"], bundle.space, bundle.vocab, tcfg,
+              candidates=_split_cands(row_cands, "train"))
         res, _ = _evaluate(cfg, model, bundle, mode, row_cands, "test")
         pool = f"top{cfg.retrieve_k}" if use_topk else "full"
         row = {"row": name, "paradigm": mode, "pool": pool,

@@ -4,7 +4,6 @@ Pure functions of the files on disk: regenerating a report never reflows
 timestamps or machine state, so identical artifacts give identical bytes.
 """
 
-import json
 import math
 import os
 
@@ -12,6 +11,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..inference import write_csv
+from .datafiles import _read_text, read_json_object
 
 
 def gaussian_smooth(values, sigma):
@@ -38,12 +38,27 @@ def gaussian_smooth(values, sigma):
 
 
 def _read_csv(path):
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    """(header, [(line number, cells)]) of a CSV file, blank lines skipped."""
+    lines = [(n, line.split(",")) for n, line in enumerate(_read_text(path).split("\n"), 1)
+             if line.strip()]
     if not lines:
         raise DataError(f"{path} is empty")
-    header = lines[0].split(",")
-    return header, [line.split(",") for line in lines[1:]]
+    return lines[0][1], lines[1:]
+
+
+def _read_losses(path):
+    """(steps, losses) of loss.csv; a bad row raises DataError naming its line."""
+    steps, losses = [], []
+    for n, cells in _read_csv(path)[1]:
+        try:
+            step, loss = cells
+            steps.append(int(step))
+            losses.append(float(loss))
+        except ValueError as exc:  # wrong cell count or a cell that is no number
+            raise DataError(f"{path}:{n}: expected 'step,loss' ({exc})") from exc
+    if not losses:
+        raise DataError(f"{path}: no loss rows")
+    return steps, np.array(losses)
 
 
 def _md_table(header, rows):
@@ -63,21 +78,19 @@ def render_report(run_dir, sigma_fraction=0.02):
     for path in (loss_path, metrics_path):
         if not os.path.exists(path):
             raise DataError(f"missing artifact {path}")
-    _, loss_rows = _read_csv(loss_path)
-    steps = [int(r[0]) for r in loss_rows]
-    losses = np.array([float(r[1]) for r in loss_rows])
+    steps, losses = _read_losses(loss_path)
+    metrics = read_json_object(metrics_path)
+    if not isinstance(metrics.get("metrics", {}), dict):
+        raise DataError(f"{metrics_path}: 'metrics' must be a JSON object")
     sigma = sigma_fraction * len(losses)
     smoothed = gaussian_smooth(losses, sigma)
     write_csv(os.path.join(run_dir, "loss_smoothed.csv"), ("step", "loss", "smoothed"),
               [(s, f"{raw:.10g}", f"{sm:.10g}") for s, raw, sm in zip(steps, losses, smoothed)])
-    with open(metrics_path, encoding="utf-8") as fh:
-        metrics = json.load(fh)
 
     parts = ["# Run report\n"]
     cfg_path = os.path.join(run_dir, "resolved_config.json")
     if os.path.exists(cfg_path):
-        with open(cfg_path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = read_json_object(cfg_path)
         parts.append("## Configuration\n")
         parts.append(_md_table(("key", "value"),
                                [(k, str(cfg[k])) for k in sorted(cfg)]))
@@ -98,7 +111,7 @@ def render_report(run_dir, sigma_fraction=0.02):
         if os.path.exists(path):
             header, rows = _read_csv(path)
             parts.append(f"\n## {title}\n")
-            parts.append(_md_table(header, rows))
+            parts.append(_md_table(header, [cells for _, cells in rows]))
     report_path = os.path.join(run_dir, "report.md")
     with open(report_path, "w", encoding="utf-8") as fh:
         fh.write("".join(parts))

@@ -39,10 +39,9 @@ def test_pairwise_ledger_counts_one_pass_per_option(setup):
     scored, ledger = score_pairwise(model, inst, options, "te", space, vocab)
     assert ledger.forward_passes == len(options)
     assert [so.index for so in scored] == options
-    want_tokens = sum(len(make_te_pair(inst, i, space, vocab, TINY.max_len))
+    want_tokens = sum(len(make_te_pair(inst, i, space, vocab, TINY.max_len).ids)
                       for i in options)
     assert ledger.tokens_processed == want_tokens
-    assert ledger.wall_seconds > 0.0
     with pytest.raises(DataError):
         score_pairwise(model, inst, options, "parallel", space, vocab)
 
@@ -86,9 +85,9 @@ def test_context_mode_scores_like_te_at_inference(setup):
 
 
 def test_ledger_merge():
-    a = CostLedger(forward_passes=2, tokens_processed=30, wall_seconds=0.5)
-    a.merge(CostLedger(forward_passes=3, tokens_processed=12, wall_seconds=0.25))
-    assert (a.forward_passes, a.tokens_processed, a.wall_seconds) == (5, 42, 0.75)
+    a = CostLedger(forward_passes=2, tokens_processed=30)
+    a.merge(CostLedger(forward_passes=3, tokens_processed=12))
+    assert (a.forward_passes, a.tokens_processed) == (5, 42)
 
 
 def test_paradigm_config_validation():

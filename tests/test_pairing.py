@@ -12,6 +12,16 @@ from entsel.text import CLS_ID, SEP_ID, build_vocab
 from conftest import small_instances, small_space, vocab_for
 
 
+def rivals_of(lay, space, vocab):
+    """Option indices of the unscored hypotheses after the scored ones, read
+    off the ids the encoder sees."""
+    by_text = {verbalize(space, i): i for i in range(len(space))}
+    tail = list(lay.ids[lay.option_spans[-1][1]:])
+    assert tail[0] == SEP_ID and tail[-1] == SEP_ID
+    cuts = [j for j, tok in enumerate(tail) if tok == SEP_ID]
+    return tuple(by_text[vocab.decode(tail[a + 1:b])] for a, b in zip(cuts, cuts[1:]))
+
+
 @pytest.fixture(scope="module")
 def setup():
     space = small_space(n=8)
@@ -46,16 +56,15 @@ def test_te_pair_layout(setup):
     lay = make_te_pair(inst, gold, space, vocab, max_len=64)
     assert lay.ids[0] == CLS_ID
     assert lay.option_indices == (gold,) and lay.labels == (True,)
-    assert lay.label is True
     non_gold = next(i for i in range(len(space)) if i not in inst.gold)
-    assert make_te_pair(inst, non_gold, space, vocab, 64).label is False
+    assert make_te_pair(inst, non_gold, space, vocab, 64).labels == (False,)
     # premise and hypothesis sit between separators, spans exclude them
-    p0, p1 = lay.premise_span
-    h0, h1 = lay.option_spans[0]
     ids = list(lay.ids)
-    assert ids[p1] == SEP_ID and ids[-1] == SEP_ID
-    assert SEP_ID not in ids[p0:p1] and SEP_ID not in ids[h0:h1]
-    assert vocab.decode(ids[p0:p1]) == inst.premise
+    p1 = ids.index(SEP_ID)
+    h0, h1 = lay.option_spans[0]
+    assert h0 == p1 + 1 and h1 == len(ids) - 1 and ids[h1] == SEP_ID
+    assert SEP_ID not in ids[h0:h1]
+    assert vocab.decode(ids[1:p1]) == inst.premise
     assert vocab.decode(ids[h0:h1]) == verbalize(space, gold)
 
 
@@ -64,9 +73,12 @@ def test_te_pair_truncates_premise_only(setup):
     long_inst = SelectionInstance(id="L", premise=" ".join(["filler"] * 100),
                                   gold=frozenset([0]))
     lay = make_te_pair(long_inst, 0, space, vocab, max_len=16)
-    assert len(lay) == 16
+    assert len(lay.ids) == 16
     h0, h1 = lay.option_spans[0]
     assert vocab.decode(list(lay.ids[h0:h1])) == verbalize(space, 0)
+    premise = list(lay.ids[1:lay.ids.index(SEP_ID)])  # its end is cut, its start kept
+    assert premise and premise == vocab.encode(long_inst.premise)[:len(premise)]
+    assert len(premise) == 16 - 2 - (h1 - h0 + 1)
     # hypothesis that cannot fit even with an empty premise is an error
     tiny = SelectionInstance(id="T", premise="x", gold=frozenset([0]))
     with pytest.raises(LayoutError):
@@ -82,11 +94,13 @@ def test_context_pair_matches_te_label_and_prefix(setup):
     lay = make_context_pair(inst, gold, pool, 3, rng, space, vocab, 64)
     te = make_te_pair(inst, gold, space, vocab, 64)
     assert lay.labels == (True,) and lay.option_indices == (gold,)
-    assert len(lay.context_indices) == 3 == len(lay.context_spans)
+    assert lay.option_spans == te.option_spans  # only H is scored
     assert lay.ids[:len(te.ids)] == te.ids  # contexts are appended after H
+    rivals = rivals_of(lay, space, vocab)
+    assert len(rivals) == 3 and set(rivals) <= set(pool)
     # k=0 degenerates to the plain pairwise layout
     bare = make_context_pair(inst, gold, pool, 0, rng, space, vocab, 64)
-    assert bare.ids == te.ids and bare.context_indices == ()
+    assert bare.ids == te.ids and rivals_of(bare, space, vocab) == ()
 
 
 def test_context_sampling_excludes_h_and_repeats(setup):
@@ -98,9 +112,10 @@ def test_context_sampling_excludes_h_and_repeats(setup):
     seen = set()
     for _ in range(300):
         lay = make_context_pair(inst, gold, pool, 4, rng, space, vocab, 96)
-        assert gold not in lay.context_indices
-        assert len(set(lay.context_indices)) == 4
-        seen.add(lay.context_indices)
+        rivals = rivals_of(lay, space, vocab)
+        assert gold not in rivals
+        assert len(set(rivals)) == 4
+        seen.add(rivals)
     assert len(seen) > 50  # order and membership actually vary
     with pytest.raises(DataError):
         make_context_pair(inst, gold, [gold] + pool, 2, rng, space, vocab, 96)

@@ -7,8 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
+from entsel.encoder import EncoderModel, load_model
 from entsel.errors import DataError, NumericError
 from entsel.text import UNK_ID
+from entsel.training import train
 from entsel.workbench import cli, datafiles, pipeline, reports
 from entsel.workbench.synth import PROFILES, brute_force_gold, space_corpus, synth
 
@@ -280,6 +282,37 @@ def test_cli_chain_writes_all_artifacts(run_area):
     assert lines[2].startswith("parallel,6,3,2,")
 
 
+def test_cli_checkpoint_equals_in_process_training(run_area):
+    _, _, out_dir, cfg_path = run_area
+    cfg = datafiles.load_run_config(cfg_path)
+    bundle = pipeline.load_bundle_for(cfg)
+    model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
+    train(model, bundle.splits["train"], bundle.space, bundle.vocab,
+          datafiles.train_config_from(cfg), dev=bundle.splits["dev"],
+          multi_label=cfg.multi_label)
+    want = model.named_parameters()
+    got = load_model(str(out_dir / "model.bin")).named_parameters()
+    assert sorted(got) == sorted(want)
+    for name, param in want.items():
+        assert got[name].data.tobytes() == param.data.tobytes(), name
+
+
+def test_cli_eval_rejects_checkpoint_of_another_vocab(tmp_path, capsys):
+    make_bundle(tmp_path / "data")
+    cfg_path = make_config(tmp_path / "c.json", tmp_path / "data", tmp_path / "out")
+    assert cli.main(["train", "--config", cfg_path]) == 0
+    before = len((tmp_path / "data" / "vocab.txt").read_text().splitlines())
+    assert cli.main(["build-vocab", "--data", str(tmp_path / "data"), "--min-count", "3"]) == 0
+    assert len((tmp_path / "data" / "vocab.txt").read_text().splitlines()) < before
+    for verb in ("eval", "bench"):
+        capsys.readouterr()
+        assert cli.main([verb, "--config", cfg_path]) == 2, verb
+        err = capsys.readouterr().err
+        assert str(tmp_path / "out" / "model.bin") in err, verb
+        assert str(tmp_path / "data" / "vocab.txt") in err and "Traceback" not in err, verb
+    assert not (tmp_path / "out" / "metrics.json").exists()
+
+
 def test_cli_eval_reuses_checkpoint(run_area):
     root, _, out_dir, cfg_path = run_area
     before = (out_dir / "model.bin").read_bytes()
@@ -303,6 +336,9 @@ def test_cli_data_errors_exit_2(run_area, tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["train", "--config", str(tmp_path)]) == 2  # a directory
     assert str(tmp_path) in capsys.readouterr().err
+    (tmp_path / "latin1.json").write_bytes(b'{"data_dir": "\xff"}')
+    assert cli.main(["train", "--config", str(tmp_path / "latin1.json")]) == 2
+    assert str(tmp_path / "latin1.json") in capsys.readouterr().err
     assert cli.main(["synth", "--profile", "single_small", "--out",
                      str(tmp_path / "d"), "--n-train", "0"]) == 2
     bad_cfg = make_config(tmp_path / "c.json", data_dir, tmp_path / "empty")
@@ -313,6 +349,18 @@ def test_cli_data_errors_exit_2(run_area, tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["train", "--config", bad_cfg, "--set", item]) == 2, item
         assert item.split("=")[0] in capsys.readouterr().err, item
+    # every TrainConfig rule runs at load: a rejected config writes nothing,
+    # not even resolved_config.json or the retrieval pools
+    for verb, items in (("train", ["epochs=0"]), ("train", ["paradigm=bogus"]),
+                        ("train", ["paradigm=parallel", "k=0"]),
+                        ("train", ["paradigm=te", "augment=true"]),
+                        ("train", ["retrieve_k=3", "epochs=0"]),
+                        ("ablate", ["retrieve_k=3", "augment=true"])):
+        sets = [arg for item in items for arg in ("--set", item)]
+        capsys.readouterr()
+        assert cli.main([verb, "--config", bad_cfg, *sets]) == 2, items
+        assert "Traceback" not in capsys.readouterr().err, items
+        assert not (tmp_path / "empty").exists(), items
     for key, value in (("epochs", "2"), ("calibrate", "yes")):
         typed_cfg = make_config(tmp_path / f"{key}.json", data_dir, tmp_path / "typed",
                                 **{key: value})
@@ -499,6 +547,31 @@ def test_gaussian_smooth_reduces_total_variation():
     v = np.linspace(3, 0, 80) + rng.normal(scale=0.5, size=80)
     smoothed = reports.gaussian_smooth(v, 2.0)
     assert np.abs(np.diff(smoothed)).sum() < np.abs(np.diff(v)).sum()
+
+
+BAD_REPORT_FILES = (  # (file, content, text the message must hold besides the path)
+    ("metrics.json", '{"metrics": {"accuracy": 0.5', ""),  # truncated
+    ("metrics.json", "[1, 2]", ""),
+    ("metrics.json", '{"metrics": 3}', ""),
+    ("loss.csv", "step,loss\n0,abc\n", ":2"),
+    ("loss.csv", "step,loss\n0,1.5\n1\n", ":3"),
+    ("loss.csv", "step,loss\n", ""),
+)
+
+
+def test_cli_report_bad_artifacts_exit_2(run_area, tmp_path, capsys):
+    _, _, out_dir, _ = run_area
+    for case, (name, content, where) in enumerate(BAD_REPORT_FILES):
+        run_dir = tmp_path / f"run{case}"
+        run_dir.mkdir()
+        for artifact in ("loss.csv", "metrics.json"):
+            shutil.copy(out_dir / artifact, run_dir / artifact)
+        (run_dir / name).write_text(content)
+        capsys.readouterr()
+        assert cli.main(["report", "--run", str(run_dir)]) == 2, (name, content)
+        err = capsys.readouterr().err
+        assert f"{run_dir / name}{where}" in err and "Traceback" not in err, (name, content, err)
+        assert not (run_dir / "report.md").exists(), (name, content)
 
 
 def test_render_report_is_pure_function_of_artifacts(run_area):
