@@ -4,8 +4,8 @@
 same-length sequences. `classify_pairs_batch` softmaxes an affine map of each
 [CLS] row into (entail, non-entail); `score_options_batch` sigmoid-scores the
 mean-pooled span of each hypothesis through a small MLP shared across
-positions. `bi_encode_rows` mean-pools each whole sequence into a unit vector
-for retrieval.
+positions. `bi_encode_rows` mean-pools each whole sequence and returns one
+[n x model_dim] matrix of unit rows, in input order, for retrieval.
 """
 
 import json
@@ -85,13 +85,23 @@ def _xavier(rng, fan_in, fan_out):
     return rng.normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
 
 
+class _NoDraws:
+    """Stands in for the init rng when every drawn parameter is overwritten next."""
+
+    @staticmethod
+    def normal(_loc, _scale, size):
+        return np.empty(size)
+
+
 class EncoderModel:
     """Trunk + head parameters; deterministic for a given (config, vocab_size)."""
 
     def __init__(self, config, vocab_size):
+        self._build(config, vocab_size, np.random.default_rng(config.seed))
+
+    def _build(self, config, vocab_size, rng):
         self.config = config
         self.vocab_size = vocab_size
-        rng = np.random.default_rng(config.seed)
         d, ff = config.model_dim, config.ff_dim
         # embeddings at 1/sqrt(d) so token identity survives the first norm
         self.tok_emb = _param(rng.normal(0, 1.0 / math.sqrt(d), (vocab_size, d)))
@@ -124,10 +134,18 @@ class EncoderModel:
 
     def copy(self):
         """Deep copy with independent parameter arrays and dropout stream."""
-        clone = EncoderModel(self.config, self.vocab_size)
+        clone = _unfilled(self.config, self.vocab_size)
         for name, p in clone.named_parameters().items():
             p.data[...] = self.named_parameters()[name].data
         return clone
+
+
+def _unfilled(config, vocab_size):
+    """A model whose drawn parameters are left uninitialised, for callers that
+    overwrite every parameter before handing the model out (copy, load)."""
+    model = EncoderModel.__new__(EncoderModel)
+    model._build(config, vocab_size, _NoDraws())
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -244,24 +262,25 @@ def fused_groups(id_lists, keys=None):
 
 
 def bi_encode_rows(model, id_lists, train_mode=False):
-    """L2-normalized mean of all token representations, per sequence.
-
-    Sequences are fused by length group; returns one unit-norm 1-D tensor
-    per input sequence, in input order.
+    """[n x model_dim] unit rows, row i the L2-normalized mean of all token
+    representations of sequence i. Sequences are fused by length group; the
+    groups are joined, put back in input order and normalized as one matrix.
     """
     if not id_lists:
         raise ShapeError("need at least one id sequence")
     d = model.config.model_dim
-    rows = [None] * len(id_lists)
+    pooled, order = [], []
     for members, ids in fused_groups(id_lists):
         batch, length = ids.shape
         reps = encode_batch(model, ids, train_mode=train_mode)
         pool = nm.Tensor(np.full((batch, 1, length), 1.0 / length))
-        pooled = nm.reshape(nm.matmul(pool, nm.reshape(reps, (batch, length, d))), (batch, d))
-        for i, pos in enumerate(members):
-            row = nm.reshape(nm.embedding(pooled, np.array([i])), (d,))
-            rows[pos] = nm.l2_normalize(row)
-    return rows
+        mean = nm.matmul(pool, nm.reshape(reps, (batch, length, d)))
+        pooled.append(nm.reshape(mean, (batch, d)))
+        order.extend(members)
+    rows = nm.concat(pooled)
+    if order != list(range(len(id_lists))):
+        rows = nm.embedding(rows, np.argsort(order))
+    return nm.l2_normalize(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +341,7 @@ def _parse_checkpoint(buf):
     blob = cur.text(blob_len)
     try:
         header = json.loads(blob)
-        model = EncoderModel(EncoderConfig(**header["config"]), header["vocab_size"])
+        model = _unfilled(EncoderConfig(**header["config"]), header["vocab_size"])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad header ({exc})") from exc
     params = model.named_parameters()

@@ -372,33 +372,32 @@ def transpose(x, axes):
     return _make(x.data.transpose(axes), (x,), back)
 
 
-def stack(tensors):
-    """Stack same-shape tensors along a new leading axis."""
+def concat(tensors):
+    """Join tensors of equal trailing shape along the leading axis."""
     if not tensors:
-        raise ShapeError("stack needs at least one tensor")
-    shape = tensors[0].shape
-    if any(t.shape != shape for t in tensors):
-        raise ShapeError("stack requires identical shapes")
-    data = np.stack([t.data for t in tensors])
+        raise ShapeError("concat needs at least one tensor")
+    if any(t.ndim < 1 or t.shape[1:] != tensors[0].shape[1:] for t in tensors):
+        raise ShapeError("concat requires identical trailing shapes")
+    ends = np.cumsum([t.shape[0] for t in tensors])
 
     def back(g):
-        for i, t in enumerate(tensors):
+        for t, end in zip(tensors, ends):
             if t.requires_grad:
-                t.accumulate_grad(g[i])
+                t.accumulate_grad(g[end - t.shape[0]:end])
 
-    return _make(data, tuple(tensors), back)
+    return _make(np.concatenate([t.data for t in tensors]), tuple(tensors), back)
 
 
 def l2_normalize(x, eps=1e-12):
-    """Scale a 1-D vector to unit L2 norm."""
-    if x.ndim != 1:
-        raise ShapeError("l2_normalize expects a 1-D tensor")
-    norm = math.sqrt(float(x.data @ x.data) + eps)
+    """Scale every vector along the last axis to unit L2 norm."""
+    if x.ndim < 1:
+        raise ShapeError("l2_normalize needs at least one axis")
+    norm = np.sqrt(np.vecdot(x.data, x.data)[..., None] + eps)
     data = x.data / norm
 
     def back(g):
         if x.requires_grad:
-            x.accumulate_grad(g / norm - x.data * float(x.data @ g) / norm**3)
+            x.accumulate_grad(g / norm - x.data * np.vecdot(x.data, g)[..., None] / norm**3)
 
     return _make(data, (x,), back)
 

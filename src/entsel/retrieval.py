@@ -2,6 +2,11 @@
 
 The index embeds every option once; queries reuse it. No approximate
 structures, since option spaces stay small enough for a full scan.
+Ranking rule: options by descending cosine score, ties to the smaller
+option index. Top-k finds each query's k-th largest score with one
+partition of the [queries x options] score matrix, then sorts only the
+options scoring at least that much, so a row of n scores is fully sorted
+only when k == n.
 """
 
 from dataclasses import dataclass
@@ -46,8 +51,7 @@ def _text_ids(model, vocab, text):
 
 def _embed_many(model, vocab, texts):
     """One unit-norm embedding row per text ([CLS] prepended, eval mode)."""
-    rows = bi_encode_rows(model, [_text_ids(model, vocab, t) for t in texts])
-    return np.stack([r.data for r in rows])
+    return bi_encode_rows(model, [_text_ids(model, vocab, t) for t in texts]).data
 
 
 def embed_text(model, vocab, text):
@@ -83,10 +87,18 @@ def retrieve_candidates(index, model, vocab, instances, k):
     n = len(index)
     if not 1 <= k <= n:
         raise DataError(f"k must lie in [1, {n}], got {k}")
-    queries = _embed_many(model, vocab, [inst.premise for inst in instances])
-    # one lexsort per query row; ties break toward the smaller option index
-    return {inst.id: [int(i) for i in np.lexsort((np.arange(n), -row))[:k]]
-            for inst, row in zip(instances, queries @ index.matrix.T)}
+    scores = _embed_many(model, vocab, [inst.premise for inst in instances]) @ index.matrix.T
+    if k == n:
+        return {inst.id: order.tolist()
+                for inst, order in zip(instances, np.argsort(-scores, axis=1, kind="stable"))}
+    kth = np.partition(scores, n - k, axis=1)[:, n - k]  # each row's k-th largest score
+    pools = {}
+    for inst, row, floor in zip(instances, scores, kth):
+        # every option tied with the k-th score competes; a stable sort of
+        # the ascending candidates by -score sends ties to the smaller index
+        cand = np.flatnonzero(row >= floor)
+        pools[inst.id] = cand[np.argsort(-row[cand], kind="stable")[:k]].tolist()
+    return pools
 
 
 def train_bi_encoder(model, dataset, space, vocab, epochs=3, batch_size=16,
@@ -124,7 +136,7 @@ def train_bi_encoder(model, dataset, space, vocab, epochs=3, batch_size=16,
             with nm.ComputeGraph():
                 q_rows = bi_encode_rows(model, q_lists, train_mode=True)
                 o_rows = bi_encode_rows(model, o_lists, train_mode=True)
-                sims = nm.matmul(nm.stack(q_rows), nm.transpose(nm.stack(o_rows), (1, 0)))
+                sims = nm.matmul(q_rows, nm.transpose(o_rows, (1, 0)))
                 probs = nm.softmax(nm.mul_scalar(sims, 1.0 / temperature), axis=-1)
                 eye = nm.Tensor(np.eye(len(batch)))
                 diag = nm.tsum(nm.mul(nm.log(probs, floor=EPS), eye))

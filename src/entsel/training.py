@@ -115,20 +115,21 @@ class TrainConfig:
     early_stop: float = None  # stop once the dev metric reaches this value
 
     def __post_init__(self):
+        # each message starts with the field it names: "field: reason"
         if self.mode not in ("te", "context", "parallel"):
-            raise DataError(f"unknown training mode {self.mode!r}")
+            raise DataError(f"mode: unknown training mode {self.mode!r}")
         if self.augment and self.mode != "parallel":
-            raise DataError("shuffle augmentation only applies to parallel mode")
+            raise DataError("augment: shuffle augmentation only applies to parallel mode")
         if self.k < 0:
-            raise DataError("k must be >= 0")
+            raise DataError("k: must be >= 0")
         if self.epochs < 1:
-            raise DataError(f"epochs must be >= 1, got {self.epochs}")
+            raise DataError(f"epochs: must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
-            raise DataError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise DataError(f"batch_size: must be >= 1, got {self.batch_size}")
         if self.mode == "parallel" and self.k < 1:
-            raise DataError("parallel mode needs k >= 1")
+            raise DataError("k: parallel mode needs k >= 1")
         if self.negative_ratio <= 0:
-            raise DataError("negative_ratio must be positive")
+            raise DataError("negative_ratio: must be positive")
 
 
 @dataclasses.dataclass

@@ -188,8 +188,12 @@ class RunConfig:
         for name, low in (("bi_epochs", 1), ("bi_batch_size", 2), ("bench_repetitions", 3),
                           ("bench_limit", 0), ("retrieve_k", 0)):
             if getattr(self, name) < low:
-                raise DataError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        train_config_from(self)
+                raise DataError(f"{name}: must be >= {low}, got {getattr(self, name)}")
+        try:
+            train_config_from(self)
+        except DataError as exc:  # name the run-config key: TrainConfig's mode is paradigm
+            field, reason = str(exc).split(": ", 1)
+            raise DataError(f"{'paradigm' if field == 'mode' else field}: {reason}") from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}

@@ -1,15 +1,18 @@
 """End-to-end runs behind the CLI verbs retrieve, train, eval, bench, ablate
 and sweep-k. Each per-run decision is made in one place: `load_candidates`
 picks the pools (retrieve_k == 0 always means the full space, otherwise
-candidates.json must exist and match it), `_evaluate` picks tau (fit on dev
-exactly when multi_label and calibrate), `_start_run` opens a run that writes
-(after the verb's request checks) and `_load_trained` one that is read.
+candidates.json must exist and match it and the bundle's space), `_evaluate`
+picks tau (fit on dev exactly when multi_label and calibrate), `_start_run`
+opens a run that writes (after the verb's request checks) and `_load_trained`
+one that is read.
 
 All outputs are deterministic functions of (data, config), so rerunning a
 command reproduces identical bytes. Progress goes to stderr; artifacts to
 files only.
 """
 
+import hashlib
+import json
 import os
 import sys
 from dataclasses import asdict, dataclass
@@ -103,6 +106,13 @@ def _fit_index(cfg, bundle):
     return bi_model, build_index(bi_model, bundle.space, bundle.vocab)
 
 
+def _space_fingerprint(space):
+    """Option count and sha256 of the space's options and template: the
+    provenance candidates.json carries, since its indices mean nothing elsewhere."""
+    blob = json.dumps({"options": list(space.options), "template": space.template})
+    return {"options": len(space), "sha256": hashlib.sha256(blob.encode("utf-8")).hexdigest()}
+
+
 def build_retrieval(cfg, bundle):
     """Fit the bi-encoder, index the space, and retrieve top-k pools for every
     split into out_dir/candidates.json; returns them (None when retrieve_k == 0)."""
@@ -113,15 +123,17 @@ def build_retrieval(cfg, bundle):
                                              cfg.retrieve_k)
                   for split, insts in bundle.splits.items()}
     write_json(os.path.join(cfg.out_dir, "candidates.json"),
-               {"k": cfg.retrieve_k, "splits": candidates})
+               {"k": cfg.retrieve_k, "space": _space_fingerprint(bundle.space),
+                "splits": candidates})
     return candidates
 
 
 def load_candidates(cfg, bundle, splits):
     """Pools by split; None (the full space) when retrieve_k == 0, whatever is on
     disk. Otherwise out_dir/candidates.json must exist, its "k" must equal
-    retrieve_k, and every id of each split in `splits` needs a non-empty list
-    of option indices; a fault raises DataError naming the file."""
+    retrieve_k, its "space" fingerprint must match the bundle's space, and
+    every id of each split in `splits` needs a non-empty list of option
+    indices; a fault raises DataError naming the file."""
     if cfg.retrieve_k == 0:
         return None
     path = os.path.join(cfg.out_dir, "candidates.json")
@@ -133,6 +145,9 @@ def load_candidates(cfg, bundle, splits):
     k = payload.get("k")
     if type(k) is not int or k != cfg.retrieve_k:
         raise DataError(f"{path}: 'k' is {k!r} but retrieve_k is {cfg.retrieve_k}")
+    if payload.get("space") != _space_fingerprint(bundle.space):
+        raise DataError(f"{path}: its 'space' fingerprint is missing or does not match the "
+                        f"options and template in {cfg.data_dir}; re-run retrieve")
     n = len(bundle.space)
     for split in splits:
         pools = payload["splits"].get(split)

@@ -1,5 +1,7 @@
 """Encoder forward contracts: shapes, determinism, pooling, batched parity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from entsel.encoder import (EncoderConfig, EncoderModel, bi_encode_rows,
                             classify_pairs_batch, encode_batch, fused_groups,
                             load_model, save_model, score_options_batch)
 from entsel.errors import DataError, LayoutError, ShapeError
-from entsel.numerics import Tensor
+from entsel.numerics import ComputeGraph, Tensor, backward
 from entsel.text import CLS_ID, SEP_ID
+from entsel.training import Adam, ce_loss
 
 from conftest import (TINY, reference_bi_encode, reference_classify, reference_encode,
                       reference_scores)
@@ -212,12 +215,15 @@ def test_fused_groups_partition_by_sorted_key():
 def test_bi_encode_unit_norm_and_batch_parity():
     model = make_model()
     rng = np.random.default_rng(9)
-    id_lists = [list(rng.integers(4, 20, size=n)) for n in (5, 8, 5, 3)]
+    # four length groups, given out of length order, so the rows come back
+    # from a concat plus a gather into input order
+    id_lists = [list(rng.integers(4, 20, size=n)) for n in (5, 8, 3, 5, 11, 3, 8)]
     rows = bi_encode_rows(model, id_lists)
-    for ids, row in zip(id_lists, rows):
-        assert abs(np.linalg.norm(row.data) - 1.0) < 1e-9
-        assert np.abs(row.data - reference_bi_encode(model, ids)).max() < 1e-9
-        assert np.abs(bi_encode_rows(model, [ids])[0].data - row.data).max() < 1e-12
+    assert rows.shape == (len(id_lists), TINY.model_dim)
+    assert np.abs(np.linalg.norm(rows.data, axis=1) - 1.0).max() < 1e-9
+    for ids, row in zip(id_lists, rows.data):
+        assert np.abs(row - reference_bi_encode(model, ids)).max() < 1e-9
+        assert np.abs(bi_encode_rows(model, [ids]).data[0] - row).max() < 1e-12
     with pytest.raises(ShapeError):
         bi_encode_rows(model, [])
 
@@ -234,6 +240,33 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     assert left.keys() == right.keys()
     for name in left:
         assert np.array_equal(left[name].data, right[name].data), name
+
+
+def _train_step(model):
+    """One dropout-on Adam step on a fixed [2 x 6] batch; returns the parameters."""
+    opt = Adam(model.parameters(), lr=1e-2)
+    ids = np.array([[CLS_ID, 5, 6, SEP_ID, 7, SEP_ID], [CLS_ID, 8, 9, SEP_ID, 5, SEP_ID]])
+    opt.zero_grad()
+    with ComputeGraph():
+        reps = encode_batch(model, ids, train_mode=True)
+        backward(ce_loss(classify_pairs_batch(model, reps, 2, 6), [True, False]))
+    opt.step()
+    return {name: p.data for name, p in model.named_parameters().items()}
+
+
+def test_loaded_and_copied_models_train_like_the_original(tmp_path):
+    model = make_model(replace(TINY, dropout=0.2))
+    model.tok_emb.data[3, 0] = 1.25
+    path = tmp_path / "model.ckpt"
+    save_model(model, path)
+    loaded, clone = load_model(path), model.copy()
+    for other in (loaded, clone):
+        for name, p in model.named_parameters().items():
+            assert np.array_equal(other.named_parameters()[name].data, p.data), name
+    want = _train_step(model)
+    for other in (loaded, clone):  # same weights and the same seeded dropout stream
+        got = _train_step(other)
+        assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
 MICRO = EncoderConfig(layers=1, heads=1, model_dim=2, ff_dim=2, max_len=3, dropout=0.0)

@@ -126,11 +126,13 @@ def test_embedding_takes_rows():
     assert np.array_equal(out.data, table.data[[2, 0, 2]])
 
 
-def test_stack_rows():
-    rows = [t([1.0, 2.0]), t([3.0, 4.0]), t([5.0, 6.0])]
-    assert np.array_equal(nm.stack(rows).data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+def test_concat_rows():
+    parts = [t([[1.0, 2.0]]), t([[3.0, 4.0], [5.0, 6.0]])]
+    assert np.array_equal(nm.concat(parts).data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     with pytest.raises(ShapeError):
-        nm.stack([t([1.0, 2.0]), t([3.0])])
+        nm.concat([t([[1.0, 2.0]]), t([[3.0]])])
+    with pytest.raises(ShapeError):
+        nm.concat([])
 
 
 def test_l2_normalize_unit_norm():
@@ -138,6 +140,11 @@ def test_l2_normalize_unit_norm():
     for _ in range(10):
         v = nm.l2_normalize(t(rng.normal(size=7))).data
         assert abs(np.linalg.norm(v) - 1.0) < 1e-9
+    m = rng.normal(size=(5, 7))
+    rows = nm.l2_normalize(t(m)).data
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() < 1e-12
+    for row, vec in zip(rows, m):  # each row alone, as a 1-D vector
+        assert np.array_equal(row, nm.l2_normalize(t(vec)).data)
 
 
 def test_bias_add_broadcast_limited_to_last_axis():
@@ -273,9 +280,11 @@ CASES = [
         nm.embedding(x, np.array([0, 2, 2, 1])), _const((4, 3)))), (4, 3)),
     ("reshape", lambda x: nm.tsum(nm.mul(nm.reshape(x, (6, 2)), _const((6, 2)))), (3, 4)),
     ("transpose", lambda x: nm.tsum(nm.mul(nm.transpose(x, (1, 0)), _const((4, 3)))), (3, 4)),
-    ("stack", lambda x: nm.tsum(nm.mul(nm.stack([nm.mul_scalar(x, 2.0), nm.neg(x), x]),
-                                       _const((3, 4, 3)))), (4, 3)),
+    ("concat", lambda x: nm.tsum(nm.mul(nm.concat([nm.mul_scalar(x, 2.0), nm.neg(x), x]),
+                                        _const((12, 3)))), (4, 3)),
     ("l2_normalize", lambda x: nm.tsum(nm.mul(nm.l2_normalize(x), _const((7,)))), (7,)),
+    ("l2_normalize-rows", lambda x: nm.tsum(nm.mul(nm.l2_normalize(x), _const((4, 7)))),
+     (4, 7)),
 ]
 
 _consts = {}

@@ -70,13 +70,21 @@ def test_top_k_matches_brute_force(setup):
             assert got[inst.id] == brute_force_order(index, model, vocab, inst.premise)[0][:k]
 
 
-def test_top_k_tie_break_to_smaller_index():
-    # duplicate rows force exact score ties
-    v = np.array([1.0, 0.0, 0.0, 0.0])
-    w = np.array([0.0, 1.0, 0.0, 0.0])
-    index = EmbeddingIndex(matrix=np.stack([w, v, v, w]))
-    order = np.lexsort((np.arange(4), -(index.matrix @ v)))
-    assert list(order) == [1, 2, 0, 3]
+def test_top_k_tie_break_to_smaller_index(setup):
+    # three one-hot rows, each repeated three times: a score is one entry of
+    # the query embedding whatever the BLAS kernel, so ties of three are exact
+    _, instances, vocab, model, _ = setup
+    rows = [1, 0, 2, 0, 1, 0, 2, 1, 2]
+    index = EmbeddingIndex(matrix=np.eye(TINY.model_dim)[rows])
+    n = len(rows)
+    for k in (1, 2, 3, 5, n - 1, n):
+        got = retrieve_candidates(index, model, vocab, instances, k)
+        for inst in instances:
+            scores = index.matrix @ embed_text(model, vocab, inst.premise)
+            oracle = np.lexsort((np.arange(n), -scores))
+            assert got[inst.id] == oracle[:k].tolist(), (k, inst.id)
+            if k in (2, 5, n - 1):  # the k-th and (k+1)-th options tie
+                assert scores[oracle[k - 1]] == scores[oracle[k]]
 
 
 def test_top_k_validates_k(setup):

@@ -361,6 +361,13 @@ def test_cli_data_errors_exit_2(run_area, tmp_path, capsys):
         assert cli.main([verb, "--config", bad_cfg, *sets]) == 2, items
         assert "Traceback" not in capsys.readouterr().err, items
         assert not (tmp_path / "empty").exists(), items
+    # a TrainConfig rule names the run-config key it rejects (mode is paradigm)
+    for items, key in ((["paradigm=bogus"], "paradigm"),
+                       (["paradigm=te", "augment=true"], "augment")):
+        sets = [arg for item in items for arg in ("--set", item)]
+        capsys.readouterr()
+        assert cli.main(["train", "--config", bad_cfg, *sets]) == 2, items
+        assert f"{bad_cfg}: {key}: " in capsys.readouterr().err, items
     for key, value in (("epochs", "2"), ("calibrate", "yes")):
         typed_cfg = make_config(tmp_path / f"{key}.json", data_dir, tmp_path / "typed",
                                 **{key: value})
@@ -429,6 +436,18 @@ def test_cli_eval_rejects_bad_candidates_file(tmp_path, capsys):
     assert code == 2 and str(path) in err and missing in err
     code, err = eval_exit(text, "--set", "retrieve_k=2")
     assert code == 2 and str(path) in err and "retrieve_k" in err
+    # pools carry the fingerprint of the space they index: a file without one,
+    # or pools from a same-size space with other labels, are refused
+    payload = json.loads(text)
+    del payload["space"]
+    code, err = eval_exit(json.dumps(payload))
+    assert code == 2 and str(path) in err and "re-run retrieve" in err
+    options_path = tmp_path / "data" / "options.txt"
+    options = options_path.read_text()
+    options_path.write_text("".join(reversed(options.splitlines(keepends=True))))
+    code, err = eval_exit(text)
+    assert code == 2 and str(path) in err and "re-run retrieve" in err
+    options_path.write_text(options)
 
     # retrieve_k alone decides whether the pools on disk are read
     out = tmp_path / "out"
