@@ -277,10 +277,7 @@ def bi_encode_rows(model, id_lists, train_mode=False):
         mean = nm.matmul(pool, nm.reshape(reps, (batch, length, d)))
         pooled.append(nm.reshape(mean, (batch, d)))
         order.extend(members)
-    rows = nm.concat(pooled)
-    if order != list(range(len(id_lists))):
-        rows = nm.embedding(rows, np.argsort(order))
-    return nm.l2_normalize(rows)
+    return nm.l2_normalize(nm.embedding(nm.concat(pooled), np.argsort(order)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ structures, since option spaces stay small enough for a full scan.
 Ranking rule: options by descending cosine score, ties to the smaller
 option index. Top-k finds each query's k-th largest score with one
 partition of the [queries x options] score matrix, then sorts only the
-options scoring at least that much, so a row of n scores is fully sorted
-only when k == n.
+options scoring at least that much; at k == n (a full ranking) that is
+every option of the row.
 """
 
 from dataclasses import dataclass
@@ -88,9 +88,6 @@ def retrieve_candidates(index, model, vocab, instances, k):
     if not 1 <= k <= n:
         raise DataError(f"k must lie in [1, {n}], got {k}")
     scores = _embed_many(model, vocab, [inst.premise for inst in instances]) @ index.matrix.T
-    if k == n:
-        return {inst.id: order.tolist()
-                for inst, order in zip(instances, np.argsort(-scores, axis=1, kind="stable"))}
     kth = np.partition(scores, n - k, axis=1)[:, n - k]  # each row's k-th largest score
     pools = {}
     for inst, row, floor in zip(instances, scores, kth):

@@ -192,8 +192,8 @@ class RunConfig:
         try:
             train_config_from(self)
         except DataError as exc:  # name the run-config key: TrainConfig's mode is paradigm
-            field, reason = str(exc).split(": ", 1)
-            raise DataError(f"{'paradigm' if field == 'mode' else field}: {reason}") from exc
+            msg = str(exc)
+            raise DataError("paradigm" + msg[4:] if msg.startswith("mode: ") else msg) from exc
 
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
