@@ -17,6 +17,7 @@ import numpy as np
 
 from . import numerics as nm
 from .errors import DataError, LayoutError, ShapeError
+from .files import atomic_write
 
 CHECKPOINT_MAGIC = b"ENTSELCK"
 CHECKPOINT_VERSION = 1
@@ -34,8 +35,10 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.layers < 1 or self.heads < 1:
-            raise DataError("layers and heads must be >= 1")
+        for name in ("layers", "heads", "model_dim", "ff_dim", "max_len"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
         if self.model_dim % self.heads != 0:
             raise DataError("model_dim must be divisible by heads")
         if not 0.0 <= self.dropout < 1.0:
@@ -140,6 +143,14 @@ class EncoderModel:
         return clone
 
 
+def _param_count(config, vocab_size):
+    """Float64 values in all of EncoderModel(config, vocab_size)'s parameters."""
+    d, ff = config.model_dim, config.ff_dim
+    block = 4 * (d * d + d) + 4 * d + (d * ff + ff) + (ff * d + d)  # q/k/v/o, 2 norms, ff
+    heads = (d * 2 + 2) + (d * d + d) + (d + 1)  # classifier, scorer MLP
+    return (vocab_size + config.max_len) * d + config.layers * block + 2 * d + heads
+
+
 def _unfilled(config, vocab_size):
     """A model whose drawn parameters are left uninitialised, for callers that
     overwrite every parameter before handing the model out (copy, load)."""
@@ -154,23 +165,10 @@ def _unfilled(config, vocab_size):
 # each row's result is what a one-row batch gives (dropout draws aside).
 # Desk-scale matrices are overhead-bound, so one fused call over a group is an
 # order of magnitude faster than a loop; fused_groups forms those groups.
+# In train mode a block records 11 tape nodes: layer_norm, attention (q/k/v
+# maps, softmax and head merge in one node), linear (output map), dropout,
+# add, layer_norm, linear, gelu, linear, dropout, add. Eval mode records none.
 # ---------------------------------------------------------------------------
-
-
-def _attention_batch(blk, x, heads, batch, seq_len):
-    d = x.shape[-1]
-    dh = d // heads
-    q = nm.add(nm.matmul(x, blk.wq), blk.bq)
-    k = nm.add(nm.matmul(x, blk.wk), blk.bk)
-    v = nm.add(nm.matmul(x, blk.wv), blk.bv)
-    qh = nm.transpose(nm.reshape(q, (batch, seq_len, heads, dh)), (0, 2, 1, 3))
-    kt = nm.transpose(nm.reshape(k, (batch, seq_len, heads, dh)), (0, 2, 3, 1))
-    vh = nm.transpose(nm.reshape(v, (batch, seq_len, heads, dh)), (0, 2, 1, 3))
-    scores = nm.mul_scalar(nm.matmul(qh, kt), 1.0 / math.sqrt(dh))
-    probs = nm.softmax(scores, axis=-1)
-    ctx = nm.reshape(nm.transpose(nm.matmul(probs, vh), (0, 2, 1, 3)),
-                     (batch * seq_len, d))
-    return nm.add(nm.matmul(ctx, blk.wo), blk.bo)
 
 
 def encode_batch(model, ids_matrix, train_mode=False):
@@ -195,12 +193,14 @@ def encode_batch(model, ids_matrix, train_mode=False):
         x = nm.dropout(x, p, rng)
     for blk in model.blocks:
         h = nm.layer_norm(x, blk.ln1_g, blk.ln1_b)
-        attn = _attention_batch(blk, h, cfg.heads, batch, seq_len)
+        ctx = nm.attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv,
+                           cfg.heads, batch, seq_len)
+        attn = nm.linear(ctx, blk.wo, blk.bo)
         if p > 0.0:
             attn = nm.dropout(attn, p, rng)
         x = nm.add(x, attn)
         h = nm.layer_norm(x, blk.ln2_g, blk.ln2_b)
-        ff = nm.add(nm.matmul(nm.gelu(nm.add(nm.matmul(h, blk.w1), blk.b1)), blk.w2), blk.b2)
+        ff = nm.linear(nm.gelu(nm.linear(h, blk.w1, blk.b1)), blk.w2, blk.b2)
         if p > 0.0:
             ff = nm.dropout(ff, p, rng)
         x = nm.add(x, ff)
@@ -210,7 +210,7 @@ def encode_batch(model, ids_matrix, train_mode=False):
 def classify_pairs_batch(model, reps_flat, batch, seq_len):
     """[batch x 2] probabilities; row g reads sequence g's [CLS] row."""
     cls_rows = nm.embedding(reps_flat, np.arange(batch) * seq_len)
-    logits = nm.add(nm.matmul(cls_rows, model.cls_w), model.cls_b)
+    logits = nm.linear(cls_rows, model.cls_w, model.cls_b)
     return nm.softmax(logits, axis=-1)
 
 
@@ -239,8 +239,8 @@ def score_options_batch(model, reps_flat, batch, seq_len, spans):
     pool3 = nm.Tensor(np.broadcast_to(pool, (batch, k, seq_len)).copy())
     reps3 = nm.reshape(reps_flat, (batch, seq_len, d))
     pooled = nm.reshape(nm.matmul(pool3, reps3), (batch * k, d))
-    h = nm.gelu(nm.add(nm.matmul(pooled, model.scorer_w1), model.scorer_b1))
-    logits = nm.add(nm.matmul(h, model.scorer_w2), model.scorer_b2)
+    h = nm.gelu(nm.linear(pooled, model.scorer_w1, model.scorer_b1))
+    logits = nm.linear(h, model.scorer_w2, model.scorer_b2)
     return nm.sigmoid(nm.reshape(logits, (batch, k)))
 
 
@@ -289,7 +289,7 @@ def save_model(model, path):
     params = model.named_parameters()
     header = {"config": asdict(model.config), "vocab_size": model.vocab_size}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
@@ -338,9 +338,16 @@ def _parse_checkpoint(buf):
     blob = cur.text(blob_len)
     try:
         header = json.loads(blob)
-        model = _unfilled(EncoderConfig(**header["config"]), header["vocab_size"])
+        config, vocab_size = EncoderConfig(**header["config"]), header["vocab_size"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"bad header ({exc})") from exc
+    if type(vocab_size) is not int or vocab_size < 1:
+        raise DataError(f"bad header (vocab_size must be an integer >= 1, got {vocab_size!r})")
+    # sizes first: a crafted header must not make the allocation below
+    need, rest = 8 * _param_count(config, vocab_size), len(buf) - cur.pos
+    if need > rest:
+        raise DataError(f"header implies {need} bytes of parameters, but only {rest} bytes follow")
+    model = _unfilled(config, vocab_size)
     params = model.named_parameters()
     (n_params,) = cur.unpack("<I")
     seen = set()

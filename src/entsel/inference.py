@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 from .encoder import classify_pairs_batch, encode_batch, fused_groups, score_options_batch
 from .errors import DataError
+from .files import atomic_write
 from .pairing import chunk_options, make_parallel_pair, make_te_pair
 
 
@@ -179,7 +180,7 @@ def evaluate(model, instances, space, vocab, cfg, multi_label=False):
 
 def write_predictions(path, result):
     """JSON-lines dump: one {id, scores, prediction, gold} record per instance."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for rec in result.predictions:
             fh.write(json.dumps(rec) + "\n")
 
@@ -229,7 +230,7 @@ def bench(model, instances, space, vocab, configs, repetitions=3, warmup=2):
 
 def write_csv(path, header, rows):
     """One comma-separated line for the header and for each row of cells."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for cells in (header, *rows):
             fh.write(",".join(map(str, cells)) + "\n")
 

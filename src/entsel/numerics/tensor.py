@@ -133,12 +133,6 @@ def backward(loss):
     graph.visit_count = visits
 
 
-def _finish(out):
-    if debug_checks_enabled() and not np.all(np.isfinite(out.data)):
-        raise NumericError("non-finite values produced by op")
-    return out
-
-
 def _make(data, inputs, backward_fn):
     """Wrap an op result, recording it on the active tape when grads flow."""
     requires = any(t.requires_grad for t in inputs)
@@ -146,7 +140,11 @@ def _make(data, inputs, backward_fn):
     graph = _active_graph()
     if requires and graph is not None:
         graph.record(out, inputs, backward_fn)
-    return _finish(out)
+    if debug_checks_enabled() and not np.all(np.isfinite(out.data)):
+        op = backward_fn.__qualname__.split(".")[0]  # every backward is a closure of its op
+        shapes = ", ".join(str(t.shape) for t in inputs)
+        raise NumericError(f"non-finite values produced by op {op} (input shapes {shapes})")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +167,86 @@ def matmul(a, b):
             b.accumulate_grad(a.data.swapaxes(-1, -2) @ g)
 
     return _make(data, (a, b), back)
+
+
+def linear(x, w, b):
+    """x @ w + b as one node: [n x d_in] rows, [d_in x d_out] weights, [d_out] bias."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError(f"linear shape mismatch: {x.shape} x {w.shape} + {b.shape}")
+    data = x.data @ w.data
+    data += b.data
+
+    def back(g):
+        if x.requires_grad:
+            x.accumulate_grad(g @ w.data.T)
+        if w.requires_grad:
+            w.accumulate_grad(x.data.T @ g)
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+
+    return _make(data, (x, w, b), back)
+
+
+def attention(x, wq, bq, wk, bk, wv, bv, heads, batch, seq_len):
+    """Multi-head self-attention of same-length sequences as one node.
+
+    `x` holds batch*seq_len rows (sequence g's token t at row g*seq_len + t).
+    The q/k/v maps, the per-head softmax(q k^T / sqrt(dh)) v and the merge of
+    the heads back into [batch*seq_len x d] rows all run inside; the output
+    map stays outside. The tape keeps q, k, v and the probabilities: one
+    [batch x heads x seq x seq] array, with the scores softmaxed in place.
+    """
+    n, d = x.shape
+    if n != batch * seq_len or d % heads != 0:
+        raise ShapeError(f"attention: {x.shape} rows are not {batch}x{seq_len} "
+                         f"sequences of {heads} heads")
+    for w, bias in ((wq, bq), (wk, bk), (wv, bv)):
+        if w.shape != (d, d) or bias.shape != (d,):
+            raise ShapeError(f"attention maps must be [{d} x {d}] + [{d}], "
+                             f"got {w.shape} + {bias.shape}")
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(w, bias, axes):  # [n x d] rows -> contiguous per-head blocks
+        rows = x.data @ w.data
+        rows += bias.data
+        return np.ascontiguousarray(rows.reshape(batch, seq_len, heads, dh).transpose(axes))
+
+    qh = split(wq, bq, (0, 2, 1, 3))  # [b x h x S x dh]
+    kt = split(wk, bk, (0, 2, 3, 1))  # [b x h x dh x S]
+    vh = split(wv, bv, (0, 2, 1, 3))
+    probs = qh @ kt
+    probs *= scale
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    data = (probs @ vh).transpose(0, 2, 1, 3).reshape(n, d)
+
+    def back(g):
+        gctx = np.ascontiguousarray(g.reshape(batch, seq_len, heads, dh).transpose(0, 2, 1, 3))
+        gvh = probs.swapaxes(-1, -2) @ gctx
+        gs = gctx @ vh.swapaxes(-1, -2)  # d loss / d probs, then in place d loss / d raw scores
+        gs -= (gs * probs).sum(axis=-1, keepdims=True)
+        gs *= probs
+        gs *= scale
+        gqh = gs @ kt.swapaxes(-1, -2)
+        gkt = qh.swapaxes(-1, -2) @ gs
+        del gs
+        gx = None
+        for w, bias, grad in ((wv, bv, gvh.transpose(0, 2, 1, 3)),
+                              (wk, bk, gkt.transpose(0, 3, 1, 2)),
+                              (wq, bq, gqh.transpose(0, 2, 1, 3))):
+            grad = grad.reshape(n, d)
+            if bias.requires_grad:
+                bias.accumulate_grad(grad.sum(axis=0))
+            if w.requires_grad:
+                w.accumulate_grad(x.data.T @ grad)
+            if x.requires_grad:
+                gx = grad @ w.data.T if gx is None else gx + grad @ w.data.T
+        if gx is not None:
+            x.accumulate_grad(gx)
+
+    return _make(data, (x, wq, bq, wk, bk, wv, bv), back)
 
 
 def add(a, b):
@@ -277,15 +355,34 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 def gelu(x):
     """tanh-approximate GELU; smooth everywhere, so finite differences agree."""
-    z = x.data
+    z = x.data.reshape(-1)  # a view; 1-D because a 0-d product is a scalar, not a buffer
     z2 = z * z  # products, not z**3: float powers go through libm pow, ~70x slower
-    t = np.tanh(_GELU_C * (z + 0.044715 * (z2 * z)))
-    data = 0.5 * z * (1.0 + t)
+    t = z2 * z
+    t *= 0.044715
+    t += z
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = t + 1.0
+    data *= z
+    data *= 0.5
+    data = data.reshape(x.shape)
 
     def back(g):
         if x.requires_grad:
-            dinner = _GELU_C * (1.0 + 3 * 0.044715 * z2)
-            x.accumulate_grad(g * (0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * dinner))
+            # g * (0.5 (1 + t) + 0.5 z (1 - t^2) c (1 + 3 * 0.044715 z^2)), in two buffers
+            out = z2 * (3 * 0.044715)
+            out += 1.0
+            out *= _GELU_C
+            tmp = t * t
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= z
+            tmp *= 0.5
+            out *= tmp
+            np.add(t, 1.0, out=tmp)
+            tmp *= 0.5
+            out += tmp
+            out *= g.reshape(-1)
+            x.accumulate_grad(out.reshape(x.shape))
 
     return _make(data, (x,), back)
 

@@ -7,6 +7,7 @@ is one non-reserved token per line; line number = id - 4.
 from collections import Counter
 
 from .errors import DataError
+from .files import atomic_write
 
 PAD_ID = 0
 UNK_ID = 1
@@ -54,7 +55,7 @@ class Vocabulary:
         return " ".join(self.token_of(i) for i in ids)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             for token in self._id_to_token[N_RESERVED:]:
                 fh.write(token + "\n")
 

@@ -20,6 +20,7 @@ import numpy as np
 from . import numerics as nm
 from .encoder import classify_pairs_batch, encode_batch, fused_groups, score_options_batch
 from .errors import DataError, NumericError, ShapeError
+from .files import atomic_write
 from .inference import (ParadigmConfig, evaluate, example_averaged_prf, option_pool,
                         score_instance, write_csv)
 from .pairing import make_context_pair, make_parallel_pair, make_te_pair, shuffle_augment
@@ -307,6 +308,6 @@ def write_manifest(path, config, extra=None):
     fields = dataclasses.asdict(config)
     if extra:
         fields.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for key in sorted(fields):
             fh.write(f"{key}={fields[key]}\n")

@@ -11,6 +11,7 @@ import os
 
 from ..encoder import EncoderConfig
 from ..errors import DataError
+from ..files import atomic_write
 from ..pairing import OptionSpace, SelectionInstance
 from ..text import Vocabulary, build_vocab
 from ..training import TrainConfig
@@ -20,13 +21,13 @@ SPLIT_NAMES = ("train", "dev", "test")
 
 
 def write_json(path, payload, indent=None):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=indent)
         fh.write("\n")
 
 
 def write_instances(path, instances):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for inst in instances:
             rec = {"id": inst.id, "text": inst.premise, "gold": sorted(inst.gold)}
             if inst.entity is not None:
@@ -83,7 +84,7 @@ def read_instances(path):
 
 
 def write_space(directory, space):
-    with open(os.path.join(directory, "options.txt"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(directory, "options.txt")) as fh:
         for opt in space.options:
             fh.write(opt + "\n")
     write_json(os.path.join(directory, "space.json"),

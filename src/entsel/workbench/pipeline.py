@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 from ..encoder import EncoderModel, load_model, save_model
 from ..errors import DataError
+from ..files import atomic_write
 from ..inference import (ParadigmConfig, bench, evaluate, write_bench_csv, write_csv,
                          write_predictions)
 from ..retrieval import (build_index, rank_all, recall_from_rankings,
@@ -268,7 +269,7 @@ def _write_ablation(out_dir, rows, multi_label):
     cells = [[row["row"], row["paradigm"], row["pool"], f"{row['passes_per_case']:g}"]
              + [f"{row[m]:.4f}" for m in metric_cols] for row in rows]
     write_csv(os.path.join(out_dir, "ablation.csv"), header, cells)
-    with open(os.path.join(out_dir, "ablation.md"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(out_dir, "ablation.md")) as fh:
         fh.write(_md_table(header, cells))
 
 

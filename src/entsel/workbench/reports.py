@@ -10,6 +10,7 @@ import os
 import numpy as np
 
 from ..errors import DataError
+from ..files import atomic_write
 from ..inference import write_csv
 from .datafiles import _read_text, read_json_object
 
@@ -113,6 +114,6 @@ def render_report(run_dir, sigma_fraction=0.02):
             parts.append(f"\n## {title}\n")
             parts.append(_md_table(header, [cells for _, cells in rows]))
     report_path = os.path.join(run_dir, "report.md")
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with atomic_write(report_path) as fh:
         fh.write("".join(parts))
     return report_path

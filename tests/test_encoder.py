@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entsel.encoder import (EncoderConfig, EncoderModel, bi_encode_rows,
+from entsel.encoder import (EncoderConfig, EncoderModel, _param_count, bi_encode_rows,
                             classify_pairs_batch, encode_batch, fused_groups,
                             load_model, save_model, score_options_batch)
 from entsel.errors import DataError, LayoutError, ShapeError
@@ -37,6 +37,23 @@ def test_config_validation():
         EncoderConfig(layers=0)
     with pytest.raises(DataError):
         EncoderConfig(dropout=1.0)
+    for name, value in (("model_dim", 0), ("model_dim", -8), ("ff_dim", 0), ("max_len", -1),
+                        ("heads", 2.0)):
+        with pytest.raises(DataError, match=name):
+            EncoderConfig(**{name: value})
+
+
+def test_te_group_tape_size():
+    # one te length group of a training step: the trunk records 4 nodes for the
+    # embeddings and dropout, 11 per block and 1 for the final norm; the head
+    # adds 3 and the loss 4
+    model = make_model(EncoderConfig(), 30)
+    ids = np.random.default_rng(0).integers(0, 30, size=(4, 9))
+    with ComputeGraph() as graph:
+        reps = encode_batch(model, ids, train_mode=True)
+        loss = ce_loss(classify_pairs_batch(model, reps, 4, 9), [True, False, False, True])
+    assert len(graph.nodes) <= 36
+    assert len(graph.nodes) == 4 + 11 * EncoderConfig().layers + 1 + 3 + 4
 
 
 def test_encode_shape_and_input_checks():
@@ -297,6 +314,12 @@ def test_checkpoint_missing_parameter_raises_data_error(tmp_path, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(DataError, match="partial.ckpt.*cls_b"):
         load_model(path)
+
+
+def test_parameter_count_formula_matches_the_model():
+    for config, vocab_size in ((TINY, 20), (MICRO, 4), (EncoderConfig(layers=3), 93)):
+        model = EncoderModel(config, vocab_size)
+        assert _param_count(config, vocab_size) == sum(p.size for p in model.parameters())
 
 
 def test_parameter_count_depends_only_on_config():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import entsel.numerics as nm
-from entsel.errors import GraphError, ShapeError
+from entsel.errors import GraphError, NumericError, ShapeError
 from entsel.numerics import ComputeGraph, Tensor, backward, grad_check
 
 
@@ -285,6 +285,19 @@ CASES = [
     ("l2_normalize", lambda x: nm.tsum(nm.mul(nm.l2_normalize(x), _const((7,)))), (7,)),
     ("l2_normalize-rows", lambda x: nm.tsum(nm.mul(nm.l2_normalize(x), _const((4, 7)))),
      (4, 7)),
+    ("linear", lambda x: nm.tsum(nm.mul(nm.linear(x, _const((4, 3)), _const((3,))),
+                                        _const((5, 3)))), (5, 4)),
+    ("linear-weight", lambda x: nm.tsum(nm.mul(nm.linear(_const((5, 4)), x, _const((3,))),
+                                               _const((5, 3)))), (4, 3)),
+    ("linear-bias", lambda x: nm.tsum(nm.mul(nm.linear(_const((5, 4)), _const((4, 3)), x),
+                                             _const((5, 3)))), (3,)),
+    # no bk case: a key bias shifts a whole score row, which the softmax ignores,
+    # so its gradient is zero and the check would only measure difference noise
+    *[(name, lambda x, arg=arg: _attention_loss(**{arg: x}), shape) for name, arg, shape in (
+        ("attention", "x", (6, 4)),
+        ("attention-wq", "wq", (4, 4)), ("attention-bq", "bq", (4,)),
+        ("attention-wk", "wk", (4, 4)),
+        ("attention-wv", "wv", (4, 4)), ("attention-bv", "bv", (4,)))],
 ]
 
 _consts = {}
@@ -296,6 +309,22 @@ def _const(shape):
         rng = np.random.default_rng(hash(shape) % (2**32))
         _consts[shape] = Tensor(rng.normal(size=shape))
     return _consts[shape]
+
+
+_ATTENTION_ARGS = ("x", "wq", "bq", "wk", "bk", "wv", "bv")
+
+
+def _attention_inputs(**given):
+    # two sequences of three tokens, d=4, two heads; fixed draws, distinct per input
+    rng = np.random.default_rng(5)
+    shapes = {"x": (6, 4), "wq": (4, 4), "bq": (4,), "wk": (4, 4), "bk": (4,),
+              "wv": (4, 4), "bv": (4,)}
+    drawn = {name: Tensor(rng.normal(size=shapes[name])) for name in _ATTENTION_ARGS}
+    return [given.get(name, drawn[name]) for name in _ATTENTION_ARGS]
+
+
+def _attention_loss(**given):
+    return nm.tsum(nm.mul(nm.attention(*_attention_inputs(**given), 2, 2, 3), _const((6, 4))))
 
 
 @pytest.mark.parametrize("name,f,shape", CASES, ids=[c[0] for c in CASES])
@@ -331,12 +360,61 @@ def test_grad_check_flags_corrupted_backward():
     assert not report.passed and report.max_rel_error > 0.4
 
 
+def _composed_linear(x, w, b):
+    return nm.add(nm.matmul(x, w), b)
+
+
+def _composed_attention(x, wq, bq, wk, bk, wv, bv, heads, batch, seq_len):
+    d = x.shape[-1]
+    dh = d // heads
+    q, k, v = (nm.add(nm.matmul(x, w), b) for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    qh = nm.transpose(nm.reshape(q, (batch, seq_len, heads, dh)), (0, 2, 1, 3))
+    kt = nm.transpose(nm.reshape(k, (batch, seq_len, heads, dh)), (0, 2, 3, 1))
+    vh = nm.transpose(nm.reshape(v, (batch, seq_len, heads, dh)), (0, 2, 1, 3))
+    probs = nm.softmax(nm.mul_scalar(nm.matmul(qh, kt), 1.0 / math.sqrt(dh)), axis=-1)
+    return nm.reshape(nm.transpose(nm.matmul(probs, vh), (0, 2, 1, 3)), (batch * seq_len, d))
+
+
+@pytest.mark.parametrize("fused,composed,shapes,extra", [
+    (nm.linear, _composed_linear, [(12, 8), (8, 5), (5,)], ()),
+    (nm.attention, _composed_attention,
+     [(3 * 7, 8), (8, 8), (8,), (8, 8), (8,), (8, 8), (8,)], (2, 3, 7)),
+], ids=["linear", "attention"])
+def test_fused_ops_match_their_composition(fused, composed, shapes, extra):
+    rng = np.random.default_rng(13)
+    values = [rng.normal(scale=2.0, size=shape) for shape in shapes]
+    weights = rng.normal(size=(shapes[0][0], shapes[-1][0]))
+    results = []
+    for op in (fused, composed):
+        inputs = [Tensor(v.copy(), requires_grad=True) for v in values]
+        with ComputeGraph():
+            out = op(*inputs, *extra)
+            backward(nm.tsum(nm.mul(out, Tensor(weights))))
+        results.append((out.data, [x.grad for x in inputs]))
+    (got, got_grads), (want, want_grads) = results
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    for i, (g, w) in enumerate(zip(got_grads, want_grads)):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12, err_msg=f"input {i}")
+
+
+def test_fused_ops_reject_bad_shapes():
+    with pytest.raises(ShapeError):
+        nm.linear(t(np.ones((2, 3))), t(np.ones((3, 4))), t(np.ones(3)))
+    with pytest.raises(ShapeError):
+        nm.attention(*_attention_inputs(), 2, 2, 4)  # 6 rows are not 2 sequences of 4
+    with pytest.raises(ShapeError):
+        nm.attention(*_attention_inputs(), 3, 2, 3)  # d=4 does not split into 3 heads
+
+
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_debug_checks_flag_detects_nonfinite():
     nm.set_debug_checks(True)
     try:
-        with pytest.raises(Exception):
+        with pytest.raises(NumericError, match=r"op log \(input shapes \(1,\)\)"):
             nm.log(t([0.0]))  # floor 0 -> -inf
+        with pytest.raises(NumericError, match=r"op matmul \(input shapes \(1, 2\), \(2, 1\)\)"):
+            nm.matmul(t([[1e308, 1e308]]), t([[1e308], [1.0]]))
     finally:
         nm.set_debug_checks(False)
     out = nm.log(t([0.0]))  # without debug checks the -inf passes through

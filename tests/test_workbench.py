@@ -3,14 +3,16 @@
 import json
 import os
 import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from entsel.encoder import EncoderModel, load_model
+from entsel.encoder import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, EncoderModel, load_model
 from entsel.errors import DataError, NumericError
+from entsel.inference import EvalResult, write_csv, write_predictions
 from entsel.text import UNK_ID
-from entsel.training import train
+from entsel.training import TrainConfig, train, write_manifest
 from entsel.workbench import cli, datafiles, pipeline, reports
 from entsel.workbench.synth import PROFILES, brute_force_gold, space_corpus, synth
 
@@ -183,6 +185,34 @@ def test_cli_bad_bundle_files_exit_2(tmp_path, capsys):
         assert not out_dir.exists(), (name, content)  # a rejected run writes nothing
 
 
+class _Unprintable:
+    def __format__(self, spec):
+        raise RuntimeError("payload failed partway")
+
+
+def _raising_rows():
+    yield ("a", 1)
+    raise RuntimeError("payload failed partway")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: datafiles.write_json(path, {"a": 1, "b": {1, 2}}),
+    lambda path: write_csv(path, ("name", "value"), _raising_rows()),
+    lambda path: write_predictions(path, EvalResult(metrics={}, ledger=None, predictions=[
+        {"id": "x"}, {"id": {1}}])),
+    lambda path: write_manifest(path, TrainConfig(mode="te"), {"zz": _Unprintable()}),
+], ids=["write_json", "write_csv", "write_predictions", "write_manifest"])
+def test_failed_write_keeps_previous_file(tmp_path, write):
+    path = tmp_path / "artifact.txt"
+    path.write_bytes(b"previous bytes\n")
+    with pytest.raises((TypeError, RuntimeError)):
+        write(path)
+    assert path.read_bytes() == b"previous bytes\n"
+    assert os.listdir(tmp_path) == ["artifact.txt"]  # no temp file left behind
+    datafiles.write_json(path, {"a": 1})
+    assert path.read_text() == '{"a": 1}\n' and os.listdir(tmp_path) == ["artifact.txt"]
+
+
 def test_build_vocab_repairs_a_corrupt_vocab(tmp_path):
     make_bundle(tmp_path)
     good = (tmp_path / "vocab.txt").read_bytes()
@@ -311,6 +341,49 @@ def test_cli_eval_rejects_checkpoint_of_another_vocab(tmp_path, capsys):
         assert str(tmp_path / "out" / "model.bin") in err, verb
         assert str(tmp_path / "data" / "vocab.txt") in err and "Traceback" not in err, verb
     assert not (tmp_path / "out" / "metrics.json").exists()
+
+
+def _checkpoint_with_header(header, payload=b""):
+    blob = json.dumps(header).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(blob)) + blob + payload
+
+
+def test_cli_bad_checkpoints_exit_2(run_area, tmp_path, capsys):
+    _, data_dir, out_dir, _ = run_area
+    good = (out_dir / "model.bin").read_bytes()
+    (blob_len,) = struct.unpack("<I", good[12:16])
+    header = json.loads(good[16:16 + blob_len])
+    payload = good[16 + blob_len:]
+
+    def with_config(**fields):
+        return {**header, "config": {**header["config"], **fields}}
+
+    cases = [
+        b"",
+        b"NOTACKPT" + good[8:],
+        good[:len(good) // 2],
+        _checkpoint_with_header({**header, "vocab_size": 10**15}),  # ~200 bytes claiming PiBs
+        _checkpoint_with_header({**header, "vocab_size": 10**15}, payload),
+        _checkpoint_with_header(with_config(max_len=10**12), payload),
+        _checkpoint_with_header({**header, "vocab_size": 0}, payload),
+        _checkpoint_with_header({**header, "vocab_size": -5}, payload),
+        _checkpoint_with_header({**header, "vocab_size": 2.5}, payload),
+        _checkpoint_with_header(with_config(model_dim=0), payload),
+        _checkpoint_with_header(with_config(model_dim=-8), payload),
+        _checkpoint_with_header(with_config(ff_dim=-16), payload),
+        _checkpoint_with_header(with_config(layers=0), payload),
+        _checkpoint_with_header(with_config(max_len=0), payload),
+    ]
+    for case, content in enumerate(cases):
+        case_out = tmp_path / f"out{case}"
+        shutil.copytree(out_dir, case_out)
+        ckpt = case_out / "model.bin"
+        ckpt.write_bytes(content)
+        cfg_path = make_config(tmp_path / "c.json", data_dir, case_out)
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", cfg_path]) == 2, case
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "Traceback" not in err, (case, err)
 
 
 def test_cli_eval_reuses_checkpoint(run_area):
