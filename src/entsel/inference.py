@@ -2,10 +2,10 @@
 
 Pairwise scoring runs one forward pass per option; parallel scoring chunks
 the option list and runs one pass per chunk, so its ledger shows ceil(n/k)
-passes. Both hand their layouts to one scoring step, `_score_layouts`, which
-runs same-shape layouts as fused groups for speed (the ledger still counts
-one pass per layout) and reads each scored option off its layout's head row.
-All scoring here is eval-mode (no dropout, no autodiff tape).
+passes. Both hand their layouts to `_score_layouts`, which reads each scored
+option off its head row; `layout_heads`, shared with training, runs same-shape
+layouts as fused groups (the ledger still counts one pass per layout). All
+scoring here is eval-mode (no dropout, no autodiff tape).
 """
 
 import json
@@ -51,26 +51,30 @@ class ParadigmConfig:
             raise DataError("parallel scoring needs k >= 1")
 
 
+def layout_heads(model, layouts, parallel, train_mode=False):
+    """(members, head) per fused group, head row i for layouts[members[i]]: pairwise
+    layouts fuse by length and get the [CLS] head's [g x 2] (entail, non-entail)
+    probabilities, parallel ones by (length, spans) and get [g x m] span scores."""
+    keys = [(len(lay.ids), lay.option_spans) for lay in layouts] if parallel else None
+    for members, ids in fused_groups([lay.ids for lay in layouts], keys):
+        reps = encode_batch(model, ids, train_mode=train_mode)
+        if parallel:
+            yield members, score_options_batch(model, reps, *ids.shape,
+                                               layouts[members[0]].option_spans)
+        else:
+            yield members, classify_pairs_batch(model, reps, *ids.shape)
+
+
 def _score_layouts(model, layouts, parallel):
     """(scored, ledger): one pass per layout, same-shape layouts fused.
 
-    Column j of a layout's head row scores option_indices[j]. Pairwise
-    layouts get [g x 2] probabilities, so their one option scores column 0,
-    p(entail); parallel layouts get one sigmoid score per option span.
+    Column j of a layout's head row scores option_indices[j], so a pairwise
+    layout's one option scores column 0, p(entail).
     """
-    keys = [(len(lay.ids), lay.option_spans) for lay in layouts] if parallel else None
-    rows = [None] * len(layouts)
-    for members, ids in fused_groups([lay.ids for lay in layouts], keys):
-        reps = encode_batch(model, ids, train_mode=False)
-        if parallel:
-            head = score_options_batch(model, reps, *ids.shape,
-                                       layouts[members[0]].option_spans)
-        else:
-            head = classify_pairs_batch(model, reps, *ids.shape)
-        for row, pos in enumerate(members):
-            rows[pos] = head.data[row]
-    scored = [ScoredOption(i, float(s)) for lay, row in zip(layouts, rows)
-              for i, s in zip(lay.option_indices, row)]
+    rows = {pos: row for members, head in layout_heads(model, layouts, parallel)
+            for pos, row in zip(members, head.data)}
+    scored = [ScoredOption(i, float(s)) for pos, lay in enumerate(layouts)
+              for i, s in zip(lay.option_indices, rows[pos])]
     return scored, CostLedger(len(layouts), sum(len(lay.ids) for lay in layouts))
 
 

@@ -18,9 +18,7 @@ from .encoder import bi_encode_rows
 from .errors import DataError
 from .pairing import verbalize
 from .text import CLS_ID
-from .training import Adam
-
-EPS = 1e-12
+from .training import Adam, fit_step, nll
 
 
 @dataclass
@@ -120,25 +118,21 @@ def train_bi_encoder(model, dataset, space, vocab, epochs=3, batch_size=16,
     rng = np.random.default_rng(seed)
     total_steps = epochs * max(1, len(pairs) // batch_size)
     opt = Adam(model.parameters(), lr=lr, warmup_steps=max(1, int(0.05 * total_steps)))
+
+    def contrastive_loss(model, batch):
+        q_rows = bi_encode_rows(model, [_text_ids(model, vocab, inst.premise)
+                                        for inst, _ in batch], train_mode=True)
+        o_rows = bi_encode_rows(model, [_text_ids(model, vocab, option_text(space, g))
+                                        for _, g in batch], train_mode=True)
+        sims = nm.matmul(q_rows, nm.transpose(o_rows, (1, 0)))
+        probs = nm.softmax(nm.mul_scalar(sims, 1.0 / temperature), axis=-1)
+        return nm.mul_scalar(nll(probs, np.eye(len(batch))), 1.0 / len(batch))
+
     losses = []
     for _epoch in range(epochs):
         order = rng.permutation(len(pairs))
         for start in range(0, len(order), batch_size):
             batch = [pairs[int(i)] for i in order[start:start + batch_size]]
-            if len(batch) < 2:
-                continue  # a single row has no in-batch negatives
-            q_lists = [_text_ids(model, vocab, inst.premise) for inst, _ in batch]
-            o_lists = [_text_ids(model, vocab, option_text(space, g)) for _, g in batch]
-            opt.zero_grad()
-            with nm.ComputeGraph():
-                q_rows = bi_encode_rows(model, q_lists, train_mode=True)
-                o_rows = bi_encode_rows(model, o_lists, train_mode=True)
-                sims = nm.matmul(q_rows, nm.transpose(o_rows, (1, 0)))
-                probs = nm.softmax(nm.mul_scalar(sims, 1.0 / temperature), axis=-1)
-                eye = nm.Tensor(np.eye(len(batch)))
-                diag = nm.tsum(nm.mul(nm.log(probs, floor=EPS), eye))
-                loss = nm.mul_scalar(diag, -1.0 / len(batch))
-                nm.backward(loss)
-            losses.append(loss.item())
-            opt.step()
+            if len(batch) >= 2:  # a single row has no in-batch negatives
+                fit_step(opt, model, contrastive_loss, batch, losses)
     return losses

@@ -1,14 +1,16 @@
-"""Losses, Adam, the epoch loop for the three paradigms, and threshold calibration.
+"""Losses, Adam, one optimizer step, the paradigms' epoch loop, threshold calibration.
 
-Training is deterministic given (config.seed, model seed): every random
-choice flows through one np.random.Generator, and only the epoch builders
-draw from it, each epoch before its first step. `_epoch_pairs` draws each
-instance's negatives, then the epoch permutation, then (context mode with
-k > 0) one context count and context set per layout in permuted order.
-`_epoch_parallel` draws each instance's gold subset, fill options and slot
-order (or augmentation), then the epoch permutation. Context mode with k=0
-consumes the generator identically to te mode, so their loss sequences
-match exactly (an invariant the tests pin down).
+Every fit (the three paradigms and the retrieval bi-encoder) steps through
+`fit_step` and takes −log p through `nll`; each keeps its own epoch loop and
+learning-rate schedule. Training is deterministic given (config.seed, model
+seed): every random choice flows through one np.random.Generator, and only
+the epoch builders draw from it, each epoch before its first step.
+`_epoch_pairs` draws each instance's negatives, then the epoch permutation,
+then (context mode with k > 0) one context count and context set per layout
+in permuted order. `_epoch_parallel` draws each instance's gold subset, fill
+options and slot order (or augmentation), then the epoch permutation.
+Context mode with k=0 consumes the generator identically to te mode, so
+their loss sequences match exactly (an invariant the tests pin down).
 """
 
 import dataclasses
@@ -18,16 +20,20 @@ import time
 import numpy as np
 
 from . import numerics as nm
-from .encoder import classify_pairs_batch, encode_batch, fused_groups, score_options_batch
 from .errors import DataError, NumericError, ShapeError
 from .files import atomic_write
-from .inference import (ParadigmConfig, evaluate, example_averaged_prf, option_pool,
-                        score_instance, write_csv)
+from .inference import (ParadigmConfig, evaluate, example_averaged_prf, layout_heads,
+                        option_pool, score_instance, select_multi, write_csv)
 from .pairing import make_context_pair, make_parallel_pair, make_te_pair, shuffle_augment
 
 EPS = 1e-12
 
 THRESHOLD_GRID = tuple(i / 100 for i in range(1, 100))
+
+
+def nll(probs, targets):
+    """Summed −log p over the entries of `probs` that the 0/1 array `targets` marks."""
+    return nm.neg(nm.tsum(nm.mul(nm.log(probs, floor=EPS), nm.Tensor(targets))))
 
 
 def ce_loss(probs, labels):
@@ -36,8 +42,7 @@ def ce_loss(probs, labels):
         raise ShapeError(f"expected [{len(labels)} x 2] probabilities, got shape {probs.shape}")
     if np.abs(probs.data.sum(axis=1) - 1.0).max() > 1e-6:
         raise DataError("probabilities must sum to 1 in every row")
-    onehot = np.array([[1.0, 0.0] if label else [0.0, 1.0] for label in labels])
-    return nm.neg(nm.tsum(nm.mul(nm.log(probs, floor=EPS), nm.Tensor(onehot))))
+    return nll(probs, np.array([[1.0, 0.0] if label else [0.0, 1.0] for label in labels]))
 
 
 def bce_loss(scores, labels):
@@ -103,6 +108,20 @@ class Adam:
             p.data -= lr_t * mhat / (np.sqrt(vhat) + self.eps)
 
 
+def fit_step(opt, model, batch_loss, batch, losses):
+    """One Adam step on the scalar batch_loss(model, batch), appended to `losses`;
+    a non-finite loss raises NumericError naming the step before any weight moves."""
+    opt.zero_grad()
+    with nm.ComputeGraph():
+        loss = batch_loss(model, batch)
+        nm.backward(loss)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise NumericError(f"non-finite training loss at step {len(losses)}")
+    losses.append(value)
+    opt.step()
+
+
 @dataclasses.dataclass
 class TrainConfig:
     mode: str  # te | context | parallel
@@ -144,26 +163,24 @@ def _epoch_pairs(instances, space, config, candidates, rng, vocab, max_len):
     """Shuffled pair layouts: all golds plus sampled negatives per instance."""
     examples = []
     for inst in instances:
-        pool = option_pool(inst, space, candidates)
         golds = sorted(inst.gold)
-        neg_pool = [o for o in pool if o not in inst.gold]
+        neg_pool = [o for o in option_pool(inst, space, candidates) if o not in inst.gold]
         if not neg_pool:
             raise DataError(f"no negative options in the pool for instance {inst.id!r}")
         n_neg = min(len(neg_pool), max(1, round(len(golds) * config.negative_ratio)))
         picked = rng.choice(len(neg_pool), size=n_neg, replace=False)
-        examples.extend((inst, g) for g in golds)
-        examples.extend((inst, neg_pool[int(j)]) for j in picked)
+        examples.extend((inst, g, neg_pool) for g in golds)
+        examples.extend((inst, neg_pool[int(j)], neg_pool) for j in picked)
     layouts = []
     for i in rng.permutation(len(examples)):
-        inst, option = examples[int(i)]
+        inst, option, neg_pool = examples[int(i)]
         if config.mode == "context" and config.k > 0:
             # competing contexts are non-gold rivals: a gold option showing up
             # as context inside a negative layout would force the encoder to
             # learn position-sensitive matching before it can learn matching
             # at all. The context count is resampled per layout from {0..k}
             # so training also covers the bare (P,H) layouts of inference.
-            ctx_pool = [o for o in option_pool(inst, space, candidates)
-                        if o != option and o not in inst.gold]
+            ctx_pool = [o for o in neg_pool if o != option]
             k_eff = min(int(rng.integers(0, config.k + 1)), len(ctx_pool))
             layouts.append(make_context_pair(inst, option, ctx_pool, k_eff, rng,
                                              space, vocab, max_len))
@@ -180,7 +197,6 @@ def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
     """
     layouts = []
     for inst in instances:
-        pool = option_pool(inst, space, candidates)
         golds = sorted(inst.gold)
         if not golds:
             raise DataError(f"instance {inst.id!r} has no gold options")
@@ -189,7 +205,7 @@ def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
             keep = [golds[i] for i in pick]
         else:
             keep = golds
-        fill_pool = [o for o in pool if o not in inst.gold]
+        fill_pool = [o for o in option_pool(inst, space, candidates) if o not in inst.gold]
         n_fill = min(config.k - len(keep), len(fill_pool))
         idx = rng.choice(len(fill_pool), size=n_fill, replace=False) if n_fill else []
         fills = [fill_pool[int(i)] for i in idx]
@@ -205,23 +221,18 @@ def _epoch_parallel(instances, space, config, candidates, rng, vocab, max_len):
 
 
 def _pair_batch_loss(model, layouts):
-    """Mean ce_loss of the layouts' one scored option, fused by sequence length."""
+    """Mean ce_loss of the layouts' one scored option."""
     total = None
-    for members, ids in fused_groups([lay.ids for lay in layouts]):
-        reps = encode_batch(model, ids, train_mode=True)
-        probs = classify_pairs_batch(model, reps, *ids.shape)
-        nll = ce_loss(probs, [layouts[p].labels[0] for p in members])
-        total = nll if total is None else nm.add(total, nll)
+    for members, probs in layout_heads(model, layouts, parallel=False, train_mode=True):
+        loss = ce_loss(probs, [layouts[p].labels[0] for p in members])
+        total = loss if total is None else nm.add(total, loss)
     return nm.mul_scalar(total, 1.0 / len(layouts))
 
 
 def _parallel_batch_loss(model, layouts):
-    """Mean per-layout bce_loss, fused by (length, span structure)."""
+    """Mean per-layout bce_loss."""
     total = None
-    for members, ids in fused_groups([lay.ids for lay in layouts],
-                                     [(len(lay.ids), lay.option_spans) for lay in layouts]):
-        reps = encode_batch(model, ids, train_mode=True)
-        smat = score_options_batch(model, reps, *ids.shape, layouts[members[0]].option_spans)
+    for members, smat in layout_heads(model, layouts, parallel=True, train_mode=True):
         labels = [lab for p in members for lab in layouts[p].labels]
         gloss = nm.mul_scalar(bce_loss(nm.reshape(smat, (smat.size,)), labels),
                               len(members) / len(layouts))
@@ -256,15 +267,7 @@ def train(model, dataset, space, vocab, config, dev=None, candidates=None,
                        warmup_steps=max(1, math.ceil(0.05 * total_steps)),
                        total_steps=total_steps)
         for start in range(0, len(layouts), config.batch_size):
-            opt.zero_grad()
-            with nm.ComputeGraph():
-                total = batch_loss(model, layouts[start:start + config.batch_size])
-                nm.backward(total)
-            value = total.item()
-            if not math.isfinite(value):
-                raise NumericError(f"non-finite training loss at step {len(losses)}")
-            losses.append(value)
-            opt.step()
+            fit_step(opt, model, batch_loss, layouts[start:start + config.batch_size], losses)
         epoch_seconds.append(time.perf_counter() - t0)
         if dev is not None:
             cfg = ParadigmConfig(mode=config.mode, k=config.k, candidates=dev_candidates)
@@ -280,8 +283,7 @@ def scan_threshold(per_instance_scores, golds):
     """Exhaustive grid scan; returns (tau, f1) with ties going to larger tau."""
     best_tau, best_f1 = None, -1.0
     for tau in THRESHOLD_GRID:
-        preds = [[so.index for so in scored if so.score > tau]
-                 for scored in per_instance_scores]
+        preds = [select_multi(scored, tau) for scored in per_instance_scores]
         _, _, f1 = example_averaged_prf(preds, golds)
         if f1 >= best_f1:
             best_tau, best_f1 = tau, f1

@@ -22,8 +22,10 @@ from ..errors import DataError
 from ..files import atomic_write
 from ..inference import (ParadigmConfig, bench, evaluate, write_bench_csv, write_csv,
                          write_predictions)
+from ..pairing import verbalize
 from ..retrieval import (build_index, rank_all, recall_from_rankings,
                          retrieve_candidates, train_bi_encoder)
+from ..text import tokenize
 from ..training import calibrate_threshold, train, write_loss_csv, write_manifest
 from .datafiles import (encoder_config_from, read_bundle, read_json_object, train_config_from,
                         write_json)
@@ -48,11 +50,21 @@ def load_bundle_for(cfg):
                   enc_cfg=encoder_config_from(cfg))
 
 
-def _start_run(cfg, bundle):
+def _start_run(cfg, bundle, pair_layouts=True):
     """Create out_dir and write resolved_config.json, once retrieve_k fits the
-    space; every verb that produces a run calls it after its request checks."""
+    space and (for a run that builds pair layouts) max_len fits the shortest
+    [CLS] P [SEP] H [SEP]; every verb that produces a run calls it after its
+    request checks."""
     if cfg.retrieve_k > len(bundle.space):
         raise DataError(f"retrieve_k {cfg.retrieve_k} exceeds space size {len(bundle.space)}")
+    if pair_layouts:
+        # no training layout is shorter: the premise cut to one token (none if
+        # it is empty), the shortest hypothesis with [ENTITY] filled by nothing
+        premise = min([1] + [len(tokenize(inst.premise)) for inst in bundle.splits["train"]])
+        hyp = min(len(tokenize(verbalize(bundle.space, i, ""))) for i in range(len(bundle.space)))
+        if cfg.max_len < 3 + premise + hyp:
+            raise DataError(f"max_len: {cfg.max_len} cannot hold the shortest pair layout, "
+                            f"{3 + premise + hyp} tokens")
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_json(os.path.join(cfg.out_dir, "resolved_config.json"), asdict(cfg), indent=2)
 
@@ -170,7 +182,7 @@ def retrieve_run(cfg):
     if cfg.retrieve_k < 1:
         raise DataError("retrieve needs retrieve_k >= 1")
     bundle = load_bundle_for(cfg)
-    _start_run(cfg, bundle)
+    _start_run(cfg, bundle, pair_layouts=False)
     candidates = build_retrieval(cfg, bundle)
     recall = {split: recall_from_rankings(candidates[split], bundle.splits[split], cfg.retrieve_k)
               for split in ("dev", "test")}

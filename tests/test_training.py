@@ -8,9 +8,10 @@ import pytest
 import entsel.numerics as nm
 from entsel.encoder import (EncoderModel, classify_pairs_batch, encode_batch,
                             score_options_batch)
-from entsel.errors import DataError, ShapeError
+from entsel.errors import DataError, NumericError, ShapeError
 from entsel.inference import ScoredOption, example_averaged_prf
 from entsel.numerics import Tensor
+from entsel.retrieval import train_bi_encoder
 from entsel.text import SEP_ID
 from entsel.training import (Adam, THRESHOLD_GRID, TrainConfig, _epoch_pairs,
                              bce_loss, ce_loss, scan_threshold, train,
@@ -277,6 +278,60 @@ def test_train_rejects_empty_dataset(setup):
     with pytest.raises(DataError):
         train(EncoderModel(TINY, len(vocab)), [], space, vocab,
               TrainConfig(mode="te"))
+
+
+@pytest.mark.parametrize("fit", ["te", "bi-encoder"])
+def test_non_finite_loss_stops_every_fit(setup, fit):
+    space, instances, vocab = setup
+    model = EncoderModel(TINY, len(vocab))
+    model.tok_emb.data[...] = np.nan
+    before = [p.data.copy() for p in model.parameters()]
+    with pytest.raises(NumericError, match="step 0"):
+        if fit == "te":
+            train(model, instances, space, vocab, TrainConfig(mode="te", epochs=1, batch_size=4))
+        else:
+            train_bi_encoder(model, instances, space, vocab, epochs=1, batch_size=4)
+    # the failing step moved no weight
+    for old, p in zip(before, model.parameters()):
+        np.testing.assert_array_equal(old, p.data)
+
+
+def _record_rates(monkeypatch):
+    """The learning rate of every Adam step taken from here on."""
+    rates, step = [], Adam.step
+
+    def recording(self):
+        step(self)
+        rates.append(self.current_lr())
+
+    monkeypatch.setattr(Adam, "step", recording)
+    return rates
+
+
+def test_train_schedule_ceil_warmup_then_decay_to_a_tenth(setup, monkeypatch):
+    space, instances, vocab = setup
+    rates = _record_rates(monkeypatch)
+    lr = 1e-3
+    # 16 pair layouts in batches of 3: T = 5 epochs x 6 steps = 30, warmup ceil(1.5) = 2
+    train(EncoderModel(TINY, len(vocab)), instances, space, vocab,
+          TrainConfig(mode="te", epochs=5, batch_size=3, learning_rate=lr))
+    assert len(rates) == 30
+    assert rates[:2] == [lr / 2, lr]
+    assert rates[-1] == pytest.approx(0.1 * lr, rel=1e-12)
+    np.testing.assert_allclose(np.diff(rates[1:]), -0.9 * lr / 28, rtol=1e-9)
+
+
+def test_bi_encoder_schedule_floor_warmup_then_constant(setup, monkeypatch):
+    space, instances, vocab = setup
+    rates = _record_rates(monkeypatch)
+    lr = 1e-3
+    # 5 gold pairs in batches of 4: one step per epoch, the one-row tail is
+    # skipped, so T = 50 and the warmup is int(2.5) = 2
+    losses = train_bi_encoder(EncoderModel(TINY, len(vocab)), instances[:5], space, vocab,
+                              epochs=50, batch_size=4, lr=lr)
+    assert len(losses) == len(rates) == 50
+    assert rates[0] == lr / 2
+    assert rates[1:] == [lr] * 49
 
 
 # ---------------------------------------------------------------------------

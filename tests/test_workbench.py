@@ -418,17 +418,20 @@ def test_cli_data_errors_exit_2(run_area, tmp_path, capsys):
     assert cli.main(["eval", "--config", bad_cfg]) == 2  # no checkpoint yet
     assert cli.main(["report", "--run", str(tmp_path / "empty")]) == 2
     for item in ("learning_rate=fast", "epochs=0", "batch_size=0", "bi_batch_size=0",
-                 "bi_batch_size=1", "bi_epochs=0"):
+                 "bi_batch_size=1", "bi_epochs=0", "max_len=2"):
         capsys.readouterr()
         assert cli.main(["train", "--config", bad_cfg, "--set", item]) == 2, item
         assert item.split("=")[0] in capsys.readouterr().err, item
-    # every TrainConfig rule runs at load: a rejected config writes nothing,
-    # not even resolved_config.json or the retrieval pools
+    # every TrainConfig rule runs at load, and the max_len floor before a run
+    # opens: a rejected config writes nothing, not even resolved_config.json
+    # or the retrieval pools
     for verb, items in (("train", ["epochs=0"]), ("train", ["paradigm=bogus"]),
                         ("train", ["paradigm=parallel", "k=0"]),
                         ("train", ["paradigm=te", "augment=true"]),
                         ("train", ["retrieve_k=3", "epochs=0"]),
-                        ("ablate", ["retrieve_k=3", "augment=true"])):
+                        ("ablate", ["retrieve_k=3", "augment=true"]),
+                        ("train", ["max_len=2"]),  # [CLS] P [SEP] H [SEP] needs 6 here
+                        ("train", ["paradigm=parallel", "max_len=5"])):
         sets = [arg for item in items for arg in ("--set", item)]
         capsys.readouterr()
         assert cli.main([verb, "--config", bad_cfg, *sets]) == 2, items
@@ -480,6 +483,10 @@ def test_retrieve_run_artifacts(tmp_path):
         split, k, recall = line.split(",")
         assert split in ("dev", "test") and k == "3"
         assert 0.0 <= float(recall) <= 1.0
+    # retrieve builds no pair layout, so a max_len too short for one still runs
+    pipeline.retrieve_run(datafiles.load_run_config(make_config(
+        tmp_path / "s.json", tmp_path / "data", tmp_path / "short", retrieve_k=3, max_len=2)))
+    assert (tmp_path / "short" / "candidates.json").exists()
 
 
 def test_cli_eval_rejects_bad_candidates_file(tmp_path, capsys):
