@@ -66,11 +66,8 @@ def layout_heads(model, layouts, parallel, train_mode=False):
 
 
 def _score_layouts(model, layouts, parallel):
-    """(scored, ledger): one pass per layout, same-shape layouts fused.
-
-    Column j of a layout's head row scores option_indices[j], so a pairwise
-    layout's one option scores column 0, p(entail).
-    """
+    """(scored, ledger): one pass per layout; column j of a layout's head row
+    scores option_indices[j], so a pairwise layout's one option scores p(entail)."""
     rows = {pos: row for members, head in layout_heads(model, layouts, parallel)
             for pos, row in zip(members, head.data)}
     scored = [ScoredOption(i, float(s)) for pos, lay in enumerate(layouts)

@@ -69,6 +69,24 @@ def verbalize(space, option_index, entity=None):
     return text
 
 
+def _frame_len(hyp_lens):
+    """Layout tokens outside the premise: [CLS], [SEP] and each H with its [SEP]."""
+    return 2 + sum(n + 1 for n in hyp_lens)
+
+
+def _premise_floor(premise):
+    """Premise tokens a layout keeps at least: one, or none of an empty premise."""
+    return min(1, len(premise))
+
+
+def shortest_pair_len(space, instances, vocab):
+    """A lower bound on the length of any pair layout of `instances`: the
+    premise floor and the shortest hypothesis, [ENTITY] filled by nothing."""
+    premise = min((_premise_floor(vocab.encode(inst.premise)) for inst in instances), default=1)
+    hyp = min(len(vocab.encode(verbalize(space, i, ""))) for i in range(len(space)))
+    return _frame_len([hyp]) + premise
+
+
 def _layout(instance, options, n_scored, space, vocab, max_len):
     """[CLS] P [SEP] H_1 [SEP] ... H_m [SEP] over `options`; the first
     n_scored hypotheses are scored, the rest are unscored context."""
@@ -76,8 +94,8 @@ def _layout(instance, options, n_scored, space, vocab, max_len):
     if not all(hyps):
         raise LayoutError("hypothesis verbalized to an empty token sequence")
     premise = vocab.encode(instance.premise)
-    budget = max_len - 2 - sum(len(h) + 1 for h in hyps)
-    if budget < min(1, len(premise)):
+    budget = max_len - _frame_len(map(len, hyps))
+    if budget < _premise_floor(premise):
         raise LayoutError(f"hypotheses alone exceed max_len {max_len}")
     ids = [CLS_ID] + premise[:budget] + [SEP_ID]
     spans = []

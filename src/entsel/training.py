@@ -20,6 +20,9 @@ import time
 import numpy as np
 
 from . import numerics as nm
+# unused here since batch losses go through layout_heads; perfbench's tracer test
+# still checks that this second binding of encode_batch is wrapped and restored
+from .encoder import encode_batch  # noqa: F401
 from .errors import DataError, NumericError, ShapeError
 from .files import atomic_write
 from .inference import (ParadigmConfig, evaluate, example_averaged_prf, layout_heads,

@@ -22,10 +22,9 @@ from ..errors import DataError
 from ..files import atomic_write
 from ..inference import (ParadigmConfig, bench, evaluate, write_bench_csv, write_csv,
                          write_predictions)
-from ..pairing import verbalize
+from ..pairing import shortest_pair_len
 from ..retrieval import (build_index, rank_all, recall_from_rankings,
                          retrieve_candidates, train_bi_encoder)
-from ..text import tokenize
 from ..training import calibrate_threshold, train, write_loss_csv, write_manifest
 from .datafiles import (encoder_config_from, read_bundle, read_json_object, train_config_from,
                         write_json)
@@ -50,21 +49,19 @@ def load_bundle_for(cfg):
                   enc_cfg=encoder_config_from(cfg))
 
 
-def _start_run(cfg, bundle, pair_layouts=True):
+def _check_max_len(cfg, bundle):
+    """Reject a max_len no training pair layout fits, before the run writes anything."""
+    need = shortest_pair_len(bundle.space, bundle.splits["train"], bundle.vocab)
+    if cfg.max_len < need:
+        raise DataError(f"max_len: {cfg.max_len} cannot hold the shortest pair layout, "
+                        f"{need} tokens")
+
+
+def _start_run(cfg, bundle):
     """Create out_dir and write resolved_config.json, once retrieve_k fits the
-    space and (for a run that builds pair layouts) max_len fits the shortest
-    [CLS] P [SEP] H [SEP]; every verb that produces a run calls it after its
-    request checks."""
+    space; every verb that produces a run calls it after its request checks."""
     if cfg.retrieve_k > len(bundle.space):
         raise DataError(f"retrieve_k {cfg.retrieve_k} exceeds space size {len(bundle.space)}")
-    if pair_layouts:
-        # no training layout is shorter: the premise cut to one token (none if
-        # it is empty), the shortest hypothesis with [ENTITY] filled by nothing
-        premise = min([1] + [len(tokenize(inst.premise)) for inst in bundle.splits["train"]])
-        hyp = min(len(tokenize(verbalize(bundle.space, i, ""))) for i in range(len(bundle.space)))
-        if cfg.max_len < 3 + premise + hyp:
-            raise DataError(f"max_len: {cfg.max_len} cannot hold the shortest pair layout, "
-                            f"{3 + premise + hyp} tokens")
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_json(os.path.join(cfg.out_dir, "resolved_config.json"), asdict(cfg), indent=2)
 
@@ -182,7 +179,7 @@ def retrieve_run(cfg):
     if cfg.retrieve_k < 1:
         raise DataError("retrieve needs retrieve_k >= 1")
     bundle = load_bundle_for(cfg)
-    _start_run(cfg, bundle, pair_layouts=False)
+    _start_run(cfg, bundle)
     candidates = build_retrieval(cfg, bundle)
     recall = {split: recall_from_rankings(candidates[split], bundle.splits[split], cfg.retrieve_k)
               for split in ("dev", "test")}
@@ -194,6 +191,7 @@ def retrieve_run(cfg):
 def train_run(cfg):
     """Train one model per the config; writes checkpoint, loss curve, manifest."""
     bundle = load_bundle_for(cfg)
+    _check_max_len(cfg, bundle)
     _start_run(cfg, bundle)
     candidates = build_retrieval(cfg, bundle)
     model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
@@ -256,6 +254,7 @@ def run_ablation(cfg):
         raise DataError("ablation needs retrieve_k >= 1 for its top-k rows")
     tcfgs = [train_config_from(cfg, mode=mode) for _, mode, _ in ABLATION_ROWS]
     bundle = load_bundle_for(cfg)
+    _check_max_len(cfg, bundle)
     _start_run(cfg, bundle)
     candidates = build_retrieval(cfg, bundle)
     rows = []
@@ -300,6 +299,7 @@ def run_k_sweep(cfg, ks):
     for k in ks:
         if not 1 <= k <= n:
             raise DataError(f"sweep k {k} outside [1, {n}]")
+    _check_max_len(cfg, bundle)
     _start_run(cfg, bundle)
     bi_model, index = _fit_index(cfg, bundle)
     train_rank = rank_all(index, bi_model, bundle.vocab, bundle.splits["train"])

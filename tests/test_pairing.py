@@ -6,7 +6,8 @@ import pytest
 from entsel.errors import DataError, LayoutError
 from entsel.pairing import (OptionSpace, SelectionInstance, chunk_options,
                             make_context_pair, make_parallel_pair,
-                            make_te_pair, shuffle_augment, verbalize)
+                            make_te_pair, shortest_pair_len, shuffle_augment,
+                            verbalize)
 from entsel.text import CLS_ID, SEP_ID, build_vocab
 
 from conftest import small_instances, small_space, vocab_for
@@ -83,6 +84,25 @@ def test_te_pair_truncates_premise_only(setup):
     tiny = SelectionInstance(id="T", premise="x", gold=frozenset([0]))
     with pytest.raises(LayoutError):
         make_te_pair(tiny, 0, space, vocab, max_len=3)
+
+
+def test_shortest_pair_len_bounds_every_te_layout():
+    ent = OptionSpace(options=("a b c", "d", "e f"), template="[ENTITY] is [LABEL]")
+    insts = [SelectionInstance(id="p", premise="one two three", gold=[0], entity="the cat"),
+             SelectionInstance(id="q", premise="four", gold=[1], entity="x")]
+    vocab = build_vocab(["one two three four is"])
+    need = shortest_pair_len(ent, insts, vocab)
+    assert need == 3 + 1 + 2  # one premise token, "is d" with [ENTITY] filled by nothing
+    for inst in insts:  # a lower bound: no pair layout fits below it
+        for i in range(len(ent)):
+            with pytest.raises(LayoutError):
+                make_te_pair(inst, i, ent, vocab, max_len=need - 1)
+    plain = OptionSpace(options=("a b c", "d"))
+    assert shortest_pair_len(plain, insts, vocab) == 5
+    assert len(make_te_pair(insts[1], 1, plain, vocab, max_len=5).ids) == 5  # and it is met
+    empty = SelectionInstance(id="e", premise="", gold=[0])
+    assert shortest_pair_len(plain, insts + [empty], vocab) == 4
+    assert len(make_te_pair(empty, 1, plain, vocab, max_len=4).ids) == 4
 
 
 def test_context_pair_matches_te_label_and_prefix(setup):
