@@ -12,6 +12,7 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,118 +46,81 @@ class EncoderConfig:
             raise DataError("dropout must be in [0, 1)")
 
 
-class _LayerParams:
-    """Attention + feed-forward parameters of one encoder block.
-
-    Weight matrices use Xavier-scale noise. The first block's query/key maps
-    start as the identity, which biases early attention toward token-identity
-    matching; without that head start the premise-hypothesis matching circuit
-    takes far longer to form from scratch at this width.
-    """
-
-    FIELDS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-              "ln2_g", "ln2_b", "w1", "b1", "w2", "b2")
-
-    def __init__(self, rng, d, ff, identity_qk=False):
-        self.ln1_g = _param(np.ones(d))
-        self.ln1_b = _param(np.zeros(d))
-        if identity_qk:
-            self.wq = _param(np.eye(d))
-            self.wk = _param(np.eye(d))
-        else:
-            self.wq = _param(_xavier(rng, d, d))
-            self.wk = _param(_xavier(rng, d, d))
-        self.bq = _param(np.zeros(d))
-        self.bk = _param(np.zeros(d))
-        self.wv = _param(_xavier(rng, d, d))
-        self.bv = _param(np.zeros(d))
-        self.wo = _param(_xavier(rng, d, d))
-        self.bo = _param(np.zeros(d))
-        self.ln2_g = _param(np.ones(d))
-        self.ln2_b = _param(np.zeros(d))
-        self.w1 = _param(_xavier(rng, d, ff))
-        self.b1 = _param(np.zeros(ff))
-        self.w2 = _param(_xavier(rng, ff, d))
-        self.b2 = _param(np.zeros(d))
-
-
-def _param(arr):
-    return nm.Tensor(arr, requires_grad=True)
-
-
-def _xavier(rng, fan_in, fan_out):
-    return rng.normal(0.0, math.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
-
-
-class _NoDraws:
-    """Stands in for the init rng when every drawn parameter is overwritten next."""
-
-    @staticmethod
-    def normal(_loc, _scale, size):
-        return np.empty(size)
-
-
 class EncoderModel:
-    """Trunk + head parameters; deterministic for a given (config, vocab_size)."""
+    """Trunk + head parameters, one per `_param_specs` row, each also an
+    attribute (`model.tok_emb`, `model.blocks[i].wq`). They are drawn from
+    default_rng(config.seed) in table order, or adopted from `arrays`, which
+    maps every table name to a float64 array of the table's shape."""
 
-    def __init__(self, config, vocab_size):
-        self._build(config, vocab_size, np.random.default_rng(config.seed))
-
-    def _build(self, config, vocab_size, rng):
-        self.config = config
-        self.vocab_size = vocab_size
-        d, ff = config.model_dim, config.ff_dim
-        # embeddings at 1/sqrt(d) so token identity survives the first norm
-        self.tok_emb = _param(rng.normal(0, 1.0 / math.sqrt(d), (vocab_size, d)))
-        self.pos_emb = _param(rng.normal(0, 1.0 / math.sqrt(d), (config.max_len, d)))
-        self.blocks = [_LayerParams(rng, d, ff, identity_qk=(i == 0))
-                       for i in range(config.layers)]
-        self.final_g = _param(np.ones(d))
-        self.final_b = _param(np.zeros(d))
-        self.cls_w = _param(_xavier(rng, d, 2))
-        self.cls_b = _param(np.zeros(2))
-        self.scorer_w1 = _param(_xavier(rng, d, d))
-        self.scorer_b1 = _param(np.zeros(d))
-        self.scorer_w2 = _param(_xavier(rng, d, 1))
-        self.scorer_b2 = _param(np.zeros(1))
+    def __init__(self, config, vocab_size, arrays=None):
+        self.config, self.vocab_size = config, vocab_size
+        self.blocks = [SimpleNamespace() for _ in range(config.layers)]
+        self._params = {}
+        rng = np.random.default_rng(config.seed)
+        for name, shape, init in _param_specs(config, vocab_size):
+            data = _draw(rng, shape, init) if arrays is None else arrays[name]
+            param = self._params[name] = nm.Tensor(data, requires_grad=True)
+            block, _, field = name.rpartition(".")
+            setattr(self.blocks[int(block.removeprefix("block"))] if block else self, field, param)
         self._dropout_rng = np.random.default_rng(config.seed + 1)
 
     def named_parameters(self):
-        params = {"tok_emb": self.tok_emb, "pos_emb": self.pos_emb,
-                  "final_g": self.final_g, "final_b": self.final_b,
-                  "cls_w": self.cls_w, "cls_b": self.cls_b,
-                  "scorer_w1": self.scorer_w1, "scorer_b1": self.scorer_b1,
-                  "scorer_w2": self.scorer_w2, "scorer_b2": self.scorer_b2}
-        for i, blk in enumerate(self.blocks):
-            for name in _LayerParams.FIELDS:
-                params[f"block{i}.{name}"] = getattr(blk, name)
-        return params
+        return dict(self._params)
 
     def parameters(self):
-        return list(self.named_parameters().values())
+        return list(self._params.values())
 
     def copy(self):
         """Deep copy with independent parameter arrays and dropout stream."""
-        clone = _unfilled(self.config, self.vocab_size)
-        for name, p in clone.named_parameters().items():
-            p.data[...] = self.named_parameters()[name].data
-        return clone
+        return EncoderModel(self.config, self.vocab_size,
+                            {name: p.data.copy() for name, p in self._params.items()})
+
+
+def _param_specs(config, vocab_size):
+    """(name, shape, init) of every parameter; the init rng draws the normal rows in order.
+
+    init is "ones", "zeros", "eye" or a zero-mean normal draw: "embed" at std 1/sqrt(d) so
+    token identity survives the first norm, "xavier" at sqrt(2/(fan_in+fan_out)) of the
+    shape. The first block's query/key maps start as the identity, which biases early
+    attention toward token-identity matching; without that head start the premise-
+    hypothesis matching circuit takes far longer to form at this width.
+    """
+    d, ff = config.model_dim, config.ff_dim
+    yield "tok_emb", (vocab_size, d), "embed"
+    yield "pos_emb", (config.max_len, d), "embed"
+    for i in range(config.layers):
+        qk = "eye" if i == 0 else "xavier"
+        for name, shape, init in (
+                ("ln1_g", (d,), "ones"), ("ln1_b", (d,), "zeros"),
+                ("wq", (d, d), qk), ("bq", (d,), "zeros"),
+                ("wk", (d, d), qk), ("bk", (d,), "zeros"),
+                ("wv", (d, d), "xavier"), ("bv", (d,), "zeros"),
+                ("wo", (d, d), "xavier"), ("bo", (d,), "zeros"),
+                ("ln2_g", (d,), "ones"), ("ln2_b", (d,), "zeros"),
+                ("w1", (d, ff), "xavier"), ("b1", (ff,), "zeros"),
+                ("w2", (ff, d), "xavier"), ("b2", (d,), "zeros")):
+            yield f"block{i}.{name}", shape, init
+    yield from (("final_g", (d,), "ones"), ("final_b", (d,), "zeros"),
+                ("cls_w", (d, 2), "xavier"), ("cls_b", (2,), "zeros"),
+                ("scorer_w1", (d, d), "xavier"), ("scorer_b1", (d,), "zeros"),
+                ("scorer_w2", (d, 1), "xavier"), ("scorer_b2", (1,), "zeros"))
+
+
+def _draw(rng, shape, init):
+    if init == "ones":
+        return np.ones(shape)
+    if init == "zeros":
+        return np.zeros(shape)
+    if init == "eye":
+        return np.eye(shape[0])
+    if init == "xavier":
+        return rng.normal(0.0, math.sqrt(2.0 / sum(shape)), shape)
+    return rng.normal(0.0, 1.0 / math.sqrt(shape[1]), shape)
 
 
 def _param_count(config, vocab_size):
     """Float64 values in all of EncoderModel(config, vocab_size)'s parameters."""
-    d, ff = config.model_dim, config.ff_dim
-    block = 4 * (d * d + d) + 4 * d + (d * ff + ff) + (ff * d + d)  # q/k/v/o, 2 norms, ff
-    heads = (d * 2 + 2) + (d * d + d) + (d + 1)  # classifier, scorer MLP
-    return (vocab_size + config.max_len) * d + config.layers * block + 2 * d + heads
-
-
-def _unfilled(config, vocab_size):
-    """A model whose drawn parameters are left uninitialised, for callers that
-    overwrite every parameter before handing the model out (copy, load)."""
-    model = EncoderModel.__new__(EncoderModel)
-    model._build(config, vocab_size, _NoDraws())
-    return model
+    return sum(math.prod(shape) for _, shape, _ in _param_specs(config, vocab_size))
 
 
 # ---------------------------------------------------------------------------
@@ -343,34 +307,35 @@ def _parse_checkpoint(buf):
         raise DataError(f"bad header ({exc})") from exc
     if type(vocab_size) is not int or vocab_size < 1:
         raise DataError(f"bad header (vocab_size must be an integer >= 1, got {vocab_size!r})")
-    # sizes first: a crafted header must not make the allocation below
-    need, rest = 8 * _param_count(config, vocab_size), len(buf) - cur.pos
-    if need > rest:
-        raise DataError(f"header implies {need} bytes of parameters, but only {rest} bytes follow")
-    model = _unfilled(config, vocab_size)
-    params = model.named_parameters()
+    # sizes first: a crafted header is refused before any parameter is read, and
+    # the running total stops the table walk once it passes the bytes that follow
+    need, rest, shapes = 0, len(buf) - cur.pos, {}
+    for name, shape, _ in _param_specs(config, vocab_size):
+        need += 8 * math.prod(shape)
+        if need > rest:
+            raise DataError(f"header implies more than the {rest} bytes of parameters that follow")
+        shapes[name] = shape
     (n_params,) = cur.unpack("<I")
-    seen = set()
+    arrays = {}
     for _ in range(n_params):
         (name_len,) = cur.unpack("<I")
         name = cur.text(name_len)
         (ndim,) = cur.unpack("<I")
         shape = cur.unpack(f"<{ndim}q")
-        if name not in params:
+        if name not in shapes:
             raise DataError(f"unknown parameter {name!r}")
-        if name in seen:
+        if name in arrays:
             raise DataError(f"duplicate parameter {name!r}")
-        if params[name].shape != shape:
+        if shapes[name] != shape:
             raise DataError(f"shape mismatch for {name!r}")
-        seen.add(name)
-        arr = np.frombuffer(cur.take(8 * params[name].size), dtype=np.float64)
-        params[name].data[...] = arr.reshape(shape)
-    missing = sorted(set(params) - seen)
+        raw = cur.take(8 * math.prod(shape))
+        arrays[name] = np.frombuffer(raw, dtype=np.float64).reshape(shape).copy()
+    missing = sorted(set(shapes) - set(arrays))
     if missing:
         raise DataError(f"missing parameters {missing}")
     if cur.pos != len(buf):
         raise DataError(f"{len(buf) - cur.pos} trailing bytes")
-    return model
+    return EncoderModel(config, vocab_size, arrays)
 
 
 def load_model(path):

@@ -79,12 +79,13 @@ def _premise_floor(premise):
     return min(1, len(premise))
 
 
-def shortest_pair_len(space, instances, vocab):
-    """A lower bound on the length of any pair layout of `instances`: the
-    premise floor and the shortest hypothesis, [ENTITY] filled by nothing."""
+def shortest_pair_len(space, instances, vocab, width=1):
+    """A lower bound on the length of any layout of `width` hypotheses of
+    `instances`: the premise floor and the frame of the `width` shortest
+    hypotheses, [ENTITY] filled by nothing."""
     premise = min((_premise_floor(vocab.encode(inst.premise)) for inst in instances), default=1)
-    hyp = min(len(vocab.encode(verbalize(space, i, ""))) for i in range(len(space)))
-    return _frame_len([hyp]) + premise
+    hyps = sorted(len(vocab.encode(verbalize(space, i, ""))) for i in range(len(space)))
+    return _frame_len(hyps[:width]) + premise
 
 
 def _layout(instance, options, n_scored, space, vocab, max_len):

@@ -63,20 +63,18 @@ def bce_loss(scores, labels):
 class Adam:
     """Adaptive-moment optimizer with linear warmup and linear decay.
 
-    After the warmup ramp the rate decays linearly to final_fraction * lr at
+    After the warmup ramp the rate decays linearly to FINAL_FRACTION * lr at
     total_steps; without total_steps it stays constant. The decay tail keeps
     dropout-era training from bouncing around the optimum late in a run.
     """
 
-    def __init__(self, params, lr=3e-4, betas=(0.9, 0.999), eps=1e-8,
-                 warmup_steps=0, total_steps=None, final_fraction=0.1):
+    BETAS, EPS, FINAL_FRACTION = (0.9, 0.999), 1e-8, 0.1
+
+    def __init__(self, params, lr=3e-4, warmup_steps=0, total_steps=None):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.warmup_steps = warmup_steps
         self.total_steps = total_steps
-        self.final_fraction = final_fraction
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
@@ -92,12 +90,12 @@ class Adam:
             return self.lr
         span = self.total_steps - self.warmup_steps
         progress = min(1.0, (self._t - self.warmup_steps) / span)
-        return self.lr * (1.0 - (1.0 - self.final_fraction) * progress)
+        return self.lr * (1.0 - (1.0 - self.FINAL_FRACTION) * progress)
 
     def step(self):
         self._t += 1
         lr_t = self.current_lr()
-        b1, b2 = self.betas
+        b1, b2 = self.BETAS
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
@@ -108,7 +106,7 @@ class Adam:
             v += (1.0 - b2) * (g * g)
             mhat = m / (1.0 - b1 ** self._t)
             vhat = v / (1.0 - b2 ** self._t)
-            p.data -= lr_t * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= lr_t * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def fit_step(opt, model, batch_loss, batch, losses):

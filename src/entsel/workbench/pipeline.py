@@ -49,11 +49,17 @@ def load_bundle_for(cfg):
                   enc_cfg=encoder_config_from(cfg))
 
 
-def _check_max_len(cfg, bundle):
-    """Reject a max_len no training pair layout fits, before the run writes anything."""
-    need = shortest_pair_len(bundle.space, bundle.splits["train"], bundle.vocab)
+def _check_max_len(cfg, bundle, parallel):
+    """Reject a max_len no training layout fits, before the run writes anything.
+
+    A parallel fit keeps every gold and fills from the pool, so each of its
+    layouts holds at least min(k, pool size) hypotheses; pairwise and context
+    layouts (whose context count can be 0) hold at least one.
+    """
+    width = min(cfg.k, cfg.retrieve_k or len(bundle.space)) if parallel else 1
+    need = shortest_pair_len(bundle.space, bundle.splits["train"], bundle.vocab, width)
     if cfg.max_len < need:
-        raise DataError(f"max_len: {cfg.max_len} cannot hold the shortest pair layout, "
+        raise DataError(f"max_len: {cfg.max_len} cannot hold the shortest training layout, "
                         f"{need} tokens")
 
 
@@ -191,7 +197,7 @@ def retrieve_run(cfg):
 def train_run(cfg):
     """Train one model per the config; writes checkpoint, loss curve, manifest."""
     bundle = load_bundle_for(cfg)
-    _check_max_len(cfg, bundle)
+    _check_max_len(cfg, bundle, cfg.paradigm == "parallel")
     _start_run(cfg, bundle)
     candidates = build_retrieval(cfg, bundle)
     model = EncoderModel(bundle.enc_cfg, len(bundle.vocab))
@@ -254,7 +260,7 @@ def run_ablation(cfg):
         raise DataError("ablation needs retrieve_k >= 1 for its top-k rows")
     tcfgs = [train_config_from(cfg, mode=mode) for _, mode, _ in ABLATION_ROWS]
     bundle = load_bundle_for(cfg)
-    _check_max_len(cfg, bundle)
+    _check_max_len(cfg, bundle, parallel=True)  # the parallel-topk row
     _start_run(cfg, bundle)
     candidates = build_retrieval(cfg, bundle)
     rows = []
@@ -299,7 +305,7 @@ def run_k_sweep(cfg, ks):
     for k in ks:
         if not 1 <= k <= n:
             raise DataError(f"sweep k {k} outside [1, {n}]")
-    _check_max_len(cfg, bundle)
+    _check_max_len(cfg, bundle, cfg.paradigm == "parallel")
     _start_run(cfg, bundle)
     bi_model, index = _fit_index(cfg, bundle)
     train_rank = rank_all(index, bi_model, bundle.vocab, bundle.splits["train"])

@@ -1,5 +1,6 @@
 """Encoder forward contracts: shapes, determinism, pooling, batched parity."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -320,6 +321,21 @@ def test_parameter_count_formula_matches_the_model():
     for config, vocab_size in ((TINY, 20), (MICRO, 4), (EncoderConfig(layers=3), 93)):
         model = EncoderModel(config, vocab_size)
         assert _param_count(config, vocab_size) == sum(p.size for p in model.parameters())
+
+
+@pytest.mark.parametrize("config, vocab_size, digest", [
+    (EncoderConfig(layers=1, heads=2, model_dim=8, ff_dim=16, max_len=12, seed=5), 11,
+     "ceffcefd99fc9d5c183106bd05d402b16df85f161a72e86d7ca83f5eec3e5565"),
+    (EncoderConfig(layers=3, heads=2, model_dim=8, ff_dim=12, max_len=10, seed=11), 9,
+     "e59137348e5180d32750e69b7bce9d348399994bb14c59454004a4889ee9d4f2")])
+def test_init_weights_are_pinned(config, vocab_size, digest):
+    # sha256 over (name, float64 bytes) in sorted-name order: any change to a
+    # name, shape, init rule or the order the init rng draws in shows here.
+    # layers=1 covers block 0's identity q/k; layers=3 the Xavier q/k after it
+    h = hashlib.sha256()
+    for name, p in sorted(EncoderModel(config, vocab_size).named_parameters().items()):
+        h.update(name.encode() + p.data.tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_parameter_count_depends_only_on_config():

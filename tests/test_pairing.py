@@ -105,6 +105,20 @@ def test_shortest_pair_len_bounds_every_te_layout():
     assert len(make_te_pair(empty, 1, plain, vocab, max_len=4).ids) == 4
 
 
+def test_shortest_pair_len_of_a_width_bounds_every_parallel_layout():
+    space = OptionSpace(options=("a b c", "d", "e f"))
+    inst = SelectionInstance(id="q", premise="four five", gold=[1])
+    vocab = build_vocab(["four five"])
+    assert shortest_pair_len(space, [inst], vocab, 1) == 5
+    need = shortest_pair_len(space, [inst], vocab, 2)
+    assert need == 2 + (1 + 1) + (2 + 1) + 1  # the two shortest hypotheses, "d" and "e f"
+    for pair in ((0, 1), (1, 2), (2, 0)):  # no two-option layout fits below it
+        with pytest.raises(LayoutError):
+            make_parallel_pair(inst, pair, space, vocab, max_len=need - 1)
+    assert len(make_parallel_pair(inst, (2, 1), space, vocab, max_len=need).ids) == need
+    assert shortest_pair_len(space, [inst], vocab, 3) == 2 + 4 + 2 + 3 + 1
+
+
 def test_context_pair_matches_te_label_and_prefix(setup):
     space, instances, vocab = setup
     inst = instances[1]

@@ -137,7 +137,7 @@ def test_adam_step_leaves_backward_grads_bitwise_untouched():
 
 
 def test_adam_warmup_then_decay_schedule():
-    opt = Adam([], lr=1.0, warmup_steps=10, total_steps=110, final_fraction=0.1)
+    opt = Adam([], lr=1.0, warmup_steps=10, total_steps=110)
     seen = []
     for _ in range(110):
         opt.step()
@@ -145,7 +145,7 @@ def test_adam_warmup_then_decay_schedule():
     assert seen[4] == pytest.approx(0.5)       # halfway up the ramp
     assert seen[9] == pytest.approx(1.0)       # ramp tops out at lr
     assert seen[59] == pytest.approx(0.55)     # halfway down the decay
-    assert seen[109] == pytest.approx(0.1)     # floor at final_fraction * lr
+    assert seen[109] == pytest.approx(0.1)     # floor at Adam.FINAL_FRACTION * lr
     assert all(b <= a + 1e-12 for a, b in zip(seen[9:], seen[10:]))
 
 

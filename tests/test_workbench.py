@@ -365,6 +365,7 @@ def test_cli_bad_checkpoints_exit_2(run_area, tmp_path, capsys):
         _checkpoint_with_header({**header, "vocab_size": 10**15}),  # ~200 bytes claiming PiBs
         _checkpoint_with_header({**header, "vocab_size": 10**15}, payload),
         _checkpoint_with_header(with_config(max_len=10**12), payload),
+        _checkpoint_with_header(with_config(layers=10**12), payload),
         _checkpoint_with_header({**header, "vocab_size": 0}, payload),
         _checkpoint_with_header({**header, "vocab_size": -5}, payload),
         _checkpoint_with_header({**header, "vocab_size": 2.5}, payload),
@@ -422,16 +423,19 @@ def test_cli_data_errors_exit_2(run_area, tmp_path, capsys):
         capsys.readouterr()
         assert cli.main(["train", "--config", bad_cfg, "--set", item]) == 2, item
         assert item.split("=")[0] in capsys.readouterr().err, item
-    # every TrainConfig rule runs at load, and the max_len floor before a run
-    # opens: a rejected config writes nothing, not even resolved_config.json
-    # or the retrieval pools
+    # every TrainConfig rule runs at load, and the max_len floor (one option, or
+    # min(k, pool) of them for a parallel fit) before a run opens: a rejected
+    # config writes nothing, not even resolved_config.json or the retrieval pools
     for verb, items in (("train", ["epochs=0"]), ("train", ["paradigm=bogus"]),
                         ("train", ["paradigm=parallel", "k=0"]),
                         ("train", ["paradigm=te", "augment=true"]),
                         ("train", ["retrieve_k=3", "epochs=0"]),
                         ("ablate", ["retrieve_k=3", "augment=true"]),
                         ("train", ["max_len=2"]),  # [CLS] P [SEP] H [SEP] needs 6 here
-                        ("train", ["paradigm=parallel", "max_len=5"])):
+                        ("train", ["paradigm=parallel", "max_len=5"]),
+                        # min(k, pool) = 6 two-token options need 21 tokens
+                        ("train", ["paradigm=parallel", "k=8", "max_len=10"]),
+                        ("ablate", ["retrieve_k=3", "max_len=10"])):  # 3 options: 12
         sets = [arg for item in items for arg in ("--set", item)]
         capsys.readouterr()
         assert cli.main([verb, "--config", bad_cfg, *sets]) == 2, items
