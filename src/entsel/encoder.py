@@ -118,11 +118,6 @@ def _draw(rng, shape, init):
     return rng.normal(0.0, 1.0 / math.sqrt(shape[1]), shape)
 
 
-def _param_count(config, vocab_size):
-    """Float64 values in all of EncoderModel(config, vocab_size)'s parameters."""
-    return sum(math.prod(shape) for _, shape, _ in _param_specs(config, vocab_size))
-
-
 # ---------------------------------------------------------------------------
 # the forward: one [batch x seq] matrix of same-length sequences per call.
 # Attention never crosses sequence boundaries and every norm is per-token, so
@@ -153,21 +148,16 @@ def encode_batch(model, ids_matrix, train_mode=False):
     x = nm.embedding(model.tok_emb, ids.reshape(-1))
     if cfg.use_positions:
         x = nm.add(x, nm.embedding(model.pos_emb, np.tile(np.arange(seq_len), batch)))
-    if p > 0.0:
-        x = nm.dropout(x, p, rng)
+    x = nm.dropout(x, p, rng)
     for blk in model.blocks:
         h = nm.layer_norm(x, blk.ln1_g, blk.ln1_b)
         ctx = nm.attention(h, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv,
                            cfg.heads, batch, seq_len)
         attn = nm.linear(ctx, blk.wo, blk.bo)
-        if p > 0.0:
-            attn = nm.dropout(attn, p, rng)
-        x = nm.add(x, attn)
+        x = nm.add(x, nm.dropout(attn, p, rng))
         h = nm.layer_norm(x, blk.ln2_g, blk.ln2_b)
         ff = nm.linear(nm.gelu(nm.linear(h, blk.w1, blk.b1)), blk.w2, blk.b2)
-        if p > 0.0:
-            ff = nm.dropout(ff, p, rng)
-        x = nm.add(x, ff)
+        x = nm.add(x, nm.dropout(ff, p, rng))
     return nm.layer_norm(x, model.final_g, model.final_b)
 
 
@@ -175,7 +165,7 @@ def classify_pairs_batch(model, reps_flat, batch, seq_len):
     """[batch x 2] probabilities; row g reads sequence g's [CLS] row."""
     cls_rows = nm.embedding(reps_flat, np.arange(batch) * seq_len)
     logits = nm.linear(cls_rows, model.cls_w, model.cls_b)
-    return nm.softmax(logits, axis=-1)
+    return nm.softmax(logits)
 
 
 def _validate_spans(spans, seq_len):

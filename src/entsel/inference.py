@@ -197,17 +197,18 @@ class BenchRow:
     rep_seconds: list = field(default_factory=list)
 
 
-def bench(model, instances, space, vocab, configs, repetitions=3, warmup=2):
+def bench(model, instances, space, vocab, configs, repetitions=3):
     """Time each paradigm config over the dataset; median of >=3 repetitions.
 
     Forward-pass and token counts come from the first timed repetition's
-    ledgers and are exact; wall-clock excludes the warmup passes.
+    ledgers and are exact; wall-clock excludes a warmup pass over the first
+    two instances.
     """
     if repetitions < 3:
         raise DataError("bench needs at least 3 timed repetitions")
     rows = []
     for cfg in configs:
-        for inst in instances[:max(1, warmup)]:
+        for inst in instances[:2]:
             score_instance(model, inst, cfg, space, vocab)
         counted = CostLedger()
         times = []

@@ -2,9 +2,12 @@
 
 Storage is a row-major (C-contiguous) numpy array; shapes are plain tuples.
 Gradients are recorded only while a ComputeGraph is active on the current
-thread, so inference-time math pays no tape overhead. Broadcasting is
-deliberately restricted to bias-add over the last axis; every other shape
-mix raises ShapeError.
+thread, so inference-time math pays no tape overhead. The tape is also the
+NaN trap: `ComputeGraph.first_nonfinite` names the earliest recorded op with a
+NaN or Inf output, and runs only when asked. Numerical constants (log's
+floor, the norm epsilons) are fixed in the ops. Broadcasting is deliberately
+restricted to bias-add over the last axis; every other shape mix raises
+ShapeError.
 """
 
 import math
@@ -13,22 +16,13 @@ import weakref
 
 import numpy as np
 
-from ..errors import GraphError, NumericError, ShapeError
+from ..errors import GraphError, ShapeError
 
 _state = threading.local()
 
 
 def _active_graph():
     return getattr(_state, "graph", None)
-
-
-def set_debug_checks(on):
-    """Toggle NaN/Inf validation after every op (thread-local, default off)."""
-    _state.debug = bool(on)
-
-
-def debug_checks_enabled():
-    return getattr(_state, "debug", False)
 
 
 class Tensor:
@@ -105,6 +99,16 @@ class ComputeGraph:
         out._graph = self._ref
         self.nodes.append((out, inputs, backward_fn))
 
+    def first_nonfinite(self):
+        """"op NAME (input shapes ...)" for the earliest recorded output holding
+        a NaN or Inf, or None when every output is finite."""
+        for out, inputs, backward_fn in self.nodes:
+            if not np.isfinite(out.data).all():
+                op = backward_fn.__qualname__.split(".")[0]  # every backward is a closure of its op
+                shapes = ", ".join(str(t.shape) for t in inputs)
+                return f"op {op} (input shapes {shapes})"
+        return None
+
 
 def backward(loss):
     """Populate grads of every requires_grad tensor reachable from `loss`.
@@ -140,10 +144,6 @@ def _make(data, inputs, backward_fn):
     graph = _active_graph()
     if requires and graph is not None:
         graph.record(out, inputs, backward_fn)
-    if debug_checks_enabled() and not np.all(np.isfinite(out.data)):
-        op = backward_fn.__qualname__.split(".")[0]  # every backward is a closure of its op
-        shapes = ", ".join(str(t.shape) for t in inputs)
-        raise NumericError(f"non-finite values produced by op {op} (input shapes {shapes})")
     return out
 
 
@@ -322,17 +322,14 @@ def tsum(x):
     return _make(x.data.sum(), (x,), back)
 
 
-def log(x, floor=0.0):
-    """Natural log; values below `floor` are clamped before the log."""
-    clamped = np.maximum(x.data, floor) if floor > 0.0 else x.data
+def log(x):
+    """Natural log; values below 1e-12 are clamped to it first (zero gradient there)."""
+    clamped = np.maximum(x.data, 1e-12)
     data = np.log(clamped)
 
     def back(g):
         if x.requires_grad:
-            gx = g / clamped
-            if floor > 0.0:
-                gx = np.where(x.data > floor, gx, 0.0)
-            x.accumulate_grad(gx)
+            x.accumulate_grad(np.where(x.data > 1e-12, g / clamped, 0.0))
 
     return _make(data, (x,), back)
 
@@ -387,24 +384,24 @@ def gelu(x):
     return _make(data, (x,), back)
 
 
-def softmax(x, axis=-1):
-    """Max-subtracted softmax along `axis`; each slice sums to 1."""
-    if x.shape[axis] < 1:
-        raise ShapeError("softmax axis must have length >= 1")
-    data = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x):
+    """Max-subtracted softmax along the last axis; each row sums to 1."""
+    if x.ndim < 1 or x.shape[-1] < 1:
+        raise ShapeError("softmax needs a last axis of length >= 1")
+    data = x.data - x.data.max(axis=-1, keepdims=True)
     np.exp(data, out=data)
-    data /= data.sum(axis=axis, keepdims=True)
+    data /= data.sum(axis=-1, keepdims=True)
 
     def back(g):
         if x.requires_grad:
-            dot = (g * data).sum(axis=axis, keepdims=True)
+            dot = (g * data).sum(axis=-1, keepdims=True)
             x.accumulate_grad((g - dot) * data)
 
     return _make(data, (x,), back)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize the last axis to mean 0 / variance 1, then scale and shift."""
+def layer_norm(x, gain, bias):
+    """Normalize the last axis to mean 0 / variance 1 (+1e-5), then scale and shift."""
     d = x.shape[-1]
     if d < 2:
         raise ShapeError("layer_norm needs last axis >= 2")
@@ -412,7 +409,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
         raise ShapeError("gain/bias must be 1-D of the normalized width")
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat *= inv
     data = xhat * gain.data + bias.data
 
@@ -485,11 +482,11 @@ def concat(tensors):
     return _make(np.concatenate([t.data for t in tensors]), tuple(tensors), back)
 
 
-def l2_normalize(x, eps=1e-12):
-    """Scale every vector along the last axis to unit L2 norm."""
+def l2_normalize(x):
+    """Scale every vector along the last axis to unit L2 norm (+1e-12 under the root)."""
     if x.ndim < 1:
         raise ShapeError("l2_normalize needs at least one axis")
-    norm = np.sqrt(np.vecdot(x.data, x.data)[..., None] + eps)
+    norm = np.sqrt(np.vecdot(x.data, x.data)[..., None] + 1e-12)
     data = x.data / norm
 
     def back(g):

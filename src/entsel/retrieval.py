@@ -125,7 +125,7 @@ def train_bi_encoder(model, dataset, space, vocab, epochs=3, batch_size=16,
         o_rows = bi_encode_rows(model, [_text_ids(model, vocab, option_text(space, g))
                                         for _, g in batch], train_mode=True)
         sims = nm.matmul(q_rows, nm.transpose(o_rows, (1, 0)))
-        probs = nm.softmax(nm.mul_scalar(sims, 1.0 / temperature), axis=-1)
+        probs = nm.softmax(nm.mul_scalar(sims, 1.0 / temperature))
         return nm.mul_scalar(nll(probs, np.eye(len(batch))), 1.0 / len(batch))
 
     losses = []

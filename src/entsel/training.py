@@ -29,14 +29,12 @@ from .inference import (ParadigmConfig, evaluate, example_averaged_prf, layout_h
                         option_pool, score_instance, select_multi, write_csv)
 from .pairing import make_context_pair, make_parallel_pair, make_te_pair, shuffle_augment
 
-EPS = 1e-12
-
 THRESHOLD_GRID = tuple(i / 100 for i in range(1, 100))
 
 
 def nll(probs, targets):
     """Summed −log p over the entries of `probs` that the 0/1 array `targets` marks."""
-    return nm.neg(nm.tsum(nm.mul(nm.log(probs, floor=EPS), nm.Tensor(targets))))
+    return nm.neg(nm.tsum(nm.mul(nm.log(probs), nm.Tensor(targets))))
 
 
 def ce_loss(probs, labels):
@@ -55,8 +53,8 @@ def bce_loss(scores, labels):
     if scores.size != len(labels):
         raise ShapeError(f"{scores.size} scores vs {len(labels)} labels")
     y = np.array([1.0 if b else 0.0 for b in labels])
-    pos = nm.mul(nm.log(scores, floor=EPS), nm.Tensor(y))
-    neg = nm.mul(nm.log(nm.add_scalar(nm.neg(scores), 1.0), floor=EPS), nm.Tensor(1.0 - y))
+    pos = nm.mul(nm.log(scores), nm.Tensor(y))
+    neg = nm.mul(nm.log(nm.add_scalar(nm.neg(scores), 1.0)), nm.Tensor(1.0 - y))
     return nm.mul_scalar(nm.tsum(nm.add(pos, neg)), -1.0 / scores.size)
 
 
@@ -110,15 +108,18 @@ class Adam:
 
 
 def fit_step(opt, model, batch_loss, batch, losses):
-    """One Adam step on the scalar batch_loss(model, batch), appended to `losses`;
-    a non-finite loss raises NumericError naming the step before any weight moves."""
+    """One Adam step on the scalar batch_loss(model, batch), appended to `losses`.
+
+    A non-finite loss raises NumericError before any weight moves, naming the
+    step and the first op on the tape whose output went non-finite."""
     opt.zero_grad()
-    with nm.ComputeGraph():
+    with nm.ComputeGraph() as graph:
         loss = batch_loss(model, batch)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise NumericError(f"non-finite training loss at step {len(losses)}, "
+                               f"first from {graph.first_nonfinite()}")
         nm.backward(loss)
-    value = loss.item()
-    if not math.isfinite(value):
-        raise NumericError(f"non-finite training loss at step {len(losses)}")
     losses.append(value)
     opt.step()
 

@@ -124,6 +124,8 @@ def _read_splits_and_space(directory):
         if not os.path.exists(path):
             raise DataError(f"missing split file {path}")
         splits[split] = read_instances(path)
+        if not splits[split]:
+            raise DataError(f"{path}: no instances")
         for inst in splits[split]:
             if inst.gold and not (min(inst.gold) >= 0 and max(inst.gold) < len(space)):
                 raise DataError(f"{path}: {inst.id}: gold index outside [0, {len(space)})")

@@ -68,11 +68,12 @@ def _md_table(header, rows):
     return "\n".join(out) + "\n"
 
 
-def render_report(run_dir, sigma_fraction=0.02):
+def render_report(run_dir):
     """Write report.md + loss_smoothed.csv from a run directory's artifacts.
 
     Needs loss.csv and metrics.json; bench/ablation/sweep tables are folded
-    in when present. Returns the report path.
+    in when present. The loss curve is smoothed with a Gaussian whose sigma
+    is 2% of the step count. Returns the report path.
     """
     loss_path = os.path.join(run_dir, "loss.csv")
     metrics_path = os.path.join(run_dir, "metrics.json")
@@ -83,7 +84,7 @@ def render_report(run_dir, sigma_fraction=0.02):
     metrics = read_json_object(metrics_path)
     if not isinstance(metrics.get("metrics", {}), dict):
         raise DataError(f"{metrics_path}: 'metrics' must be a JSON object")
-    sigma = sigma_fraction * len(losses)
+    sigma = 0.02 * len(losses)
     smoothed = gaussian_smooth(losses, sigma)
     write_csv(os.path.join(run_dir, "loss_smoothed.csv"), ("step", "loss", "smoothed"),
               [(s, f"{raw:.10g}", f"{sm:.10g}") for s, raw, sm in zip(steps, losses, smoothed)])

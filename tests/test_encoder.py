@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entsel.encoder import (EncoderConfig, EncoderModel, _param_count, bi_encode_rows,
+from entsel.encoder import (EncoderConfig, EncoderModel, bi_encode_rows,
                             classify_pairs_batch, encode_batch, fused_groups,
                             load_model, save_model, score_options_batch)
 from entsel.errors import DataError, LayoutError, ShapeError
@@ -315,12 +315,6 @@ def test_checkpoint_missing_parameter_raises_data_error(tmp_path, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(DataError, match="partial.ckpt.*cls_b"):
         load_model(path)
-
-
-def test_parameter_count_formula_matches_the_model():
-    for config, vocab_size in ((TINY, 20), (MICRO, 4), (EncoderConfig(layers=3), 93)):
-        model = EncoderModel(config, vocab_size)
-        assert _param_count(config, vocab_size) == sum(p.size for p in model.parameters())
 
 
 @pytest.mark.parametrize("config, vocab_size, digest", [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import entsel.numerics as nm
-from entsel.errors import GraphError, NumericError, ShapeError
+from entsel.errors import GraphError, ShapeError
 from entsel.numerics import ComputeGraph, Tensor, backward, grad_check
 
 
@@ -59,18 +59,18 @@ def test_softmax_stabilized_and_normalized():
     rng = np.random.default_rng(0)
     for _ in range(20):
         x = rng.normal(scale=10.0, size=(3, 5))
-        sums = nm.softmax(t(x), axis=-1).data.sum(axis=-1)
+        sums = nm.softmax(t(x)).data.sum(axis=-1)
         assert np.abs(sums - 1.0).max() < 1e-9
 
 
 def test_layer_norm_values():
     g, b = t(np.ones(4)), t(np.zeros(4))
     assert np.allclose(nm.layer_norm(t([5.0, 5.0, 5.0, 5.0]), g, b).data, 0.0)
-    out = nm.layer_norm(t([1.0, -1.0]), t(np.ones(2)), t(np.zeros(2)), eps=1e-12)
+    out = nm.layer_norm(t([1.0, -1.0]), t(np.ones(2)), t(np.zeros(2)))
     assert np.abs(out.data - [1.0, -1.0]).max() < 1e-5
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 16))
-    out = nm.layer_norm(t(x), t(np.ones(16)), t(np.zeros(16)), eps=1e-5).data
+    out = nm.layer_norm(t(x), t(np.ones(16)), t(np.zeros(16))).data
     assert np.abs(out.mean(axis=-1)).max() < 1e-6
     assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-3
     x = rng.normal(loc=3.0, scale=20.0, size=(5, 64))
@@ -116,7 +116,7 @@ def test_gelu_tanh_form():
 
 
 def test_log_floor_guard():
-    out = nm.log(t([1.0, 0.0]), floor=1e-12)
+    out = nm.log(t([1.0, 0.0]))
     assert out.data[0] == 0.0 and out.data[1] == math.log(1e-12)
 
 
@@ -242,7 +242,7 @@ def test_graph_frees_activations_without_gc():
         with ComputeGraph():
             hidden = nm.gelu(nm.matmul(x, w))
             probe = weakref.ref(hidden.data)
-            loss = nm.tsum(nm.softmax(hidden, axis=-1))
+            loss = nm.tsum(nm.softmax(hidden))
             del hidden
             backward(loss)
             assert probe() is not None  # the tape keeps it for backward
@@ -271,7 +271,7 @@ CASES = [
     ("log", lambda x: nm.tsum(nm.log(nm.sigmoid(x))), (6,)),
     ("sigmoid", lambda x: nm.tsum(nm.sigmoid(x)), (2, 3)),
     ("gelu", lambda x: nm.tsum(nm.gelu(x)), (3, 3)),
-    ("softmax", lambda x: nm.tsum(nm.mul(nm.softmax(x, axis=-1), _const((3, 4)))), (3, 4)),
+    ("softmax", lambda x: nm.tsum(nm.mul(nm.softmax(x), _const((3, 4)))), (3, 4)),
     ("layer_norm-x", lambda x: nm.tsum(nm.mul(
         nm.layer_norm(x, _const((6,)), _const((6,))), _const((2, 6)))), (2, 6)),
     ("layer_norm-gain", lambda x: nm.tsum(nm.mul(
@@ -371,7 +371,7 @@ def _composed_attention(x, wq, bq, wk, bk, wv, bv, heads, batch, seq_len):
     qh = nm.transpose(nm.reshape(q, (batch, seq_len, heads, dh)), (0, 2, 1, 3))
     kt = nm.transpose(nm.reshape(k, (batch, seq_len, heads, dh)), (0, 2, 3, 1))
     vh = nm.transpose(nm.reshape(v, (batch, seq_len, heads, dh)), (0, 2, 1, 3))
-    probs = nm.softmax(nm.mul_scalar(nm.matmul(qh, kt), 1.0 / math.sqrt(dh)), axis=-1)
+    probs = nm.softmax(nm.mul_scalar(nm.matmul(qh, kt), 1.0 / math.sqrt(dh)))
     return nm.reshape(nm.transpose(nm.matmul(probs, vh), (0, 2, 1, 3)), (batch * seq_len, d))
 
 
@@ -406,16 +406,13 @@ def test_fused_ops_reject_bad_shapes():
         nm.attention(*_attention_inputs(), 3, 2, 3)  # d=4 does not split into 3 heads
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_debug_checks_flag_detects_nonfinite():
-    nm.set_debug_checks(True)
-    try:
-        with pytest.raises(NumericError, match=r"op log \(input shapes \(1,\)\)"):
-            nm.log(t([0.0]))  # floor 0 -> -inf
-        with pytest.raises(NumericError, match=r"op matmul \(input shapes \(1, 2\), \(2, 1\)\)"):
-            nm.matmul(t([[1e308, 1e308]]), t([[1e308], [1.0]]))
-    finally:
-        nm.set_debug_checks(False)
-    out = nm.log(t([0.0]))  # without debug checks the -inf passes through
-    assert np.isneginf(out.data[0])
+def test_first_nonfinite_names_the_earliest_op():
+    x = t([[1e308, 1e308]], rg=True)
+    with ComputeGraph() as graph:
+        row = nm.mul_scalar(x, 1.0)
+        assert graph.first_nonfinite() is None  # a finite tape names nothing
+        nm.matmul(row, t([[1e308], [1.0]]))  # overflows to inf
+        nm.mul_scalar(row, 0.5)  # finite again
+    assert len(graph.nodes) == 3
+    assert graph.first_nonfinite() == "op matmul (input shapes (1, 2), (2, 1))"

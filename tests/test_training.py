@@ -123,7 +123,7 @@ def test_adam_step_leaves_backward_grads_bitwise_untouched():
         reps = encode_batch(model, ids)
         probs = classify_pairs_batch(model, reps, 2, 5)
         scores = score_options_batch(model, reps, 2, 5, [(1, 2), (2, 4)])
-        nm.backward(nm.add(nm.tsum(nm.log(probs, floor=1e-12)), nm.tsum(scores)))
+        nm.backward(nm.add(nm.tsum(nm.log(probs)), nm.tsum(scores)))
     params = model.named_parameters()
     grads = {name: p.grad.copy() for name, p in params.items()}
     data = {name: p.data.copy() for name, p in params.items()}
@@ -280,20 +280,25 @@ def test_train_rejects_empty_dataset(setup):
               TrainConfig(mode="te"))
 
 
-@pytest.mark.parametrize("fit", ["te", "bi-encoder"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the injected inf
+@pytest.mark.parametrize("fit", ["te", "parallel", "bi-encoder"])
 def test_non_finite_loss_stops_every_fit(setup, fit):
     space, instances, vocab = setup
-    model = EncoderModel(TINY, len(vocab))
-    model.tok_emb.data[...] = np.nan
-    before = [p.data.copy() for p in model.parameters()]
-    with pytest.raises(NumericError, match="step 0"):
-        if fit == "te":
-            train(model, instances, space, vocab, TrainConfig(mode="te", epochs=1, batch_size=4))
-        else:
-            train_bi_encoder(model, instances, space, vocab, epochs=1, batch_size=4)
-    # the failing step moved no weight
-    for old, p in zip(before, model.parameters()):
-        np.testing.assert_array_equal(old, p.data)
+    for op, value in (("embedding", np.nan), ("linear", np.inf)):
+        model = EncoderModel(TINY, len(vocab))
+        # poison the first op's table, or the first feed-forward weight of block 0
+        target = model.tok_emb if op == "embedding" else model.blocks[0].w1
+        target.data[...] = value
+        before = [p.data.copy() for p in model.parameters()]
+        with pytest.raises(NumericError, match=rf"step 0, first from op {op} \(input shapes \("):
+            if fit == "bi-encoder":
+                train_bi_encoder(model, instances, space, vocab, epochs=1, batch_size=4)
+            else:
+                train(model, instances, space, vocab, TrainConfig(
+                    mode=fit, k=3 if fit == "parallel" else 0, epochs=1, batch_size=4))
+        # the failing step moved no weight
+        for old, p in zip(before, model.parameters()):
+            np.testing.assert_array_equal(old, p.data)
 
 
 def _record_rates(monkeypatch):

@@ -161,6 +161,9 @@ BAD_BUNDLE_FILES = (
     ("train.jsonl", '{"id": "a", "text": "x", "gold": [0.0]}\n'),
     ("train.jsonl", '{"id": "a", "text": "x", "gold": [true]}\n'),
     ("train.jsonl", '{"id": "a", "text": "x", "gold": [0], "entity": 1}\n'),
+    ("train.jsonl", ""),
+    ("dev.jsonl", "\n"),
+    ("test.jsonl", ""),
     ("dev.jsonl", '{"id": "a", "text": "x", "gold": [-1]}\n'),
     ("test.jsonl", '{"id": "a", "text": "x", "gold": [6]}\n'),
 )
@@ -178,11 +181,13 @@ def test_cli_bad_bundle_files_exit_2(tmp_path, capsys):
             path.write_text(content)
         out_dir = tmp_path / f"out{case}"
         cfg_path = make_config(tmp_path / "c.json", data_dir, out_dir)
-        capsys.readouterr()
-        assert cli.main(["train", "--config", cfg_path]) == 2, (name, content)
-        err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err, (name, content, err)
-        assert not out_dir.exists(), (name, content)  # a rejected run writes nothing
+        # eval and bench read the bundle before the checkpoint, so they reject it too
+        for verb in ("train", "eval", "bench"):
+            capsys.readouterr()
+            assert cli.main([verb, "--config", cfg_path]) == 2, (verb, name, content)
+            err = capsys.readouterr().err
+            assert str(path) in err and "Traceback" not in err, (verb, name, content, err)
+            assert not out_dir.exists(), (verb, name, content)  # a rejected run writes nothing
 
 
 class _Unprintable:
